@@ -9,6 +9,7 @@ from dcag import (
     ShapeError,
     StreamBatch,
     ToyStack,
+    apply_dcag,
     decompose,
     joint_attention,
     project_qkv,
@@ -108,6 +109,35 @@ class TestRunStack:
             stack.layers[0],
         )
         assert np.array_equal(guided_seen[0], first.k[TXT:TXT + IMG])
+
+    def test_every_tap_matches_public_stage_composition(self, stack, batch):
+        # the stack loop must hand each tap exactly what project_qkv returns
+        # for the running state, and must guide and attend like the public stages
+        cfg = GuidanceConfig(RANGE, delta_k=1.3, delta_v=0.7, guided_layers=(1,))
+        seen = []
+        out = run_stack(stack, batch, cfg, tap=lambda layer, step, qkv: seen.append(qkv))
+
+        txt = np.array(batch.txt)
+        img = np.array(batch.img)
+        expected = []
+        for t in range(stack.step_count):
+            img = img + stack.step_embedding(t)
+            for layer, weights in enumerate(stack.layers):
+                qkv = project_qkv(StreamBatch(txt=txt, img=img), weights)
+                expected.append(qkv)
+                if cfg.applies_to(layer):
+                    qkv = apply_dcag(qkv, cfg)
+                step_out = joint_attention(qkv)
+                txt = txt + step_out.txt
+                img = img + step_out.img
+
+        assert len(seen) == len(expected) == stack.step_count * len(stack.layers)
+        for got, want in zip(seen, expected):
+            assert isinstance(got, JointQKV)
+            assert got.img_range == want.img_range
+            for name in ("q", "k", "v"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(out, img)
 
     def test_dim_mismatch(self, stack):
         with pytest.raises(ShapeError, match="hidden dimension"):
