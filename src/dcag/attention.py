@@ -6,8 +6,10 @@ text first), and the streams are concatenated for joint scaled-dot-product
 attention over the full sequence. Guidance hooks in between projection and
 attention, on the JointQKV value.
 
-All value types freeze their arrays (read-only, private copies), so they
-are safe to share across threads.
+All value types validate and freeze their arrays (read-only, private
+copies), so they are safe to share across threads. The public functions
+are validating wrappers over private kernels that trust their inputs; the
+stack loop in harness calls those kernels directly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import as_tensor, matmul, softmax_rows
+from .tensors import _softmax_rows, as_tensor, check_finite
 
 __all__ = [
     "StreamBatch",
@@ -34,9 +36,7 @@ DEFAULT_ROPE_BASE = 10000.0
 
 
 def _frozen(x, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=np.float64, order="C")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+    arr = check_finite(np.array(x, dtype=np.float64, order="C"), name)
     arr.flags.writeable = False
     return arr
 
@@ -143,6 +143,21 @@ class JointQKV:
         return self.q.shape[0]
 
 
+def _rope_table(positions: np.ndarray, head_dim: int, base: float):
+    """cos and sin of every (position, pair) angle, each shaped (S, 1, d_h / 2)."""
+    theta = float(base) ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
+    angles = positions[:, None] * theta[None, :]
+    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the (S, H, d_h) block x in place; x may be a strided view."""
+    even, odd = x[:, :, 0::2], x[:, :, 1::2]
+    even[...], odd[...] = even * cos - odd * sin, even * sin + odd * cos
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def rope(x, positions, base: float = DEFAULT_ROPE_BASE) -> np.ndarray:
     """Rotate consecutive coordinate pairs (2j, 2j+1) of an (S, H, d_h) block.
 
@@ -159,23 +174,28 @@ def rope(x, positions, base: float = DEFAULT_ROPE_BASE) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (s,):
         raise ShapeError(f"need one position per token: {pos.shape} positions for {s} tokens")
-    theta = float(base) ** (-2.0 * np.arange(dh // 2, dtype=np.float64) / dh)
-    angles = pos[:, None] * theta[None, :]
-    cos = np.cos(angles)[:, None, :]
-    sin = np.sin(angles)[:, None, :]
-    even = x[:, :, 0::2]
-    odd = x[:, :, 1::2]
-    out = np.empty_like(x)
-    out[:, :, 0::2] = even * cos - odd * sin
-    out[:, :, 1::2] = even * sin + odd * cos
-    return out
+    return check_finite(_rope(x.copy(), *_rope_table(pos, dh, base)), "rope output")
 
 
-def _to_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    s, d = x.shape
-    return x.reshape(s, heads, d // heads)
+def _stacked(weights: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The text and image [Wq|Wk|Wv] matrices, (D, 3D) each: one matmul per stream."""
+    return (np.concatenate([weights.txt_wq, weights.txt_wk, weights.txt_wv], axis=1),
+            np.concatenate([weights.img_wq, weights.img_wk, weights.img_wv], axis=1))
 
 
+def _project(txt, img, w_txt, w_img, heads: int, cos, sin, out: np.ndarray):
+    """Q, K, V of the joint sequence as (S, H, d_h) views into out (S, 3D).
+
+    w_txt and w_img come from _stacked, cos and sin from _rope_table over
+    positions 0..S-1; RoPE is applied to Q and K.
+    """
+    np.matmul(txt, w_txt, out=out[:txt.shape[0]])
+    np.matmul(img, w_img, out=out[txt.shape[0]:])
+    q, k, v = out.reshape(out.shape[0], 3, heads, -1).transpose(1, 0, 2, 3)
+    return _rope(q, cos, sin), _rope(k, cos, sin), v
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def project_qkv(batch: StreamBatch, weights: LayerWeights,
                 rope_base: float = DEFAULT_ROPE_BASE) -> JointQKV:
     """Project both streams to per-head Q, K, V and apply RoPE to Q and K.
@@ -188,40 +208,38 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights,
         raise ShapeError(
             f"batch hidden dimension {batch.dim} does not match weights {weights.dim}"
         )
-    h = weights.heads
     s_t = batch.txt.shape[0]
-    s_i = batch.img.shape[0]
-    pos_txt = np.arange(s_t)
-    pos_img = np.arange(s_t, s_t + s_i)
-
-    q_txt = rope(_to_heads(matmul(batch.txt, weights.txt_wq), h), pos_txt, rope_base)
-    k_txt = rope(_to_heads(matmul(batch.txt, weights.txt_wk), h), pos_txt, rope_base)
-    v_txt = _to_heads(matmul(batch.txt, weights.txt_wv), h)
-    q_img = rope(_to_heads(matmul(batch.img, weights.img_wq), h), pos_img, rope_base)
-    k_img = rope(_to_heads(matmul(batch.img, weights.img_wk), h), pos_img, rope_base)
-    v_img = _to_heads(matmul(batch.img, weights.img_wv), h)
-
-    return JointQKV(
-        q=np.concatenate([q_txt, q_img], axis=0),
-        k=np.concatenate([k_txt, k_img], axis=0),
-        v=np.concatenate([v_txt, v_img], axis=0),
-        img_range=(s_t, s_t + s_i),
-    )
+    s = s_t + batch.img.shape[0]
+    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim, rope_base)
+    q, k, v = _project(batch.txt, batch.img, *_stacked(weights), weights.heads, cos, sin,
+                       np.empty((s, 3 * weights.dim)))
+    return JointQKV(q=q, k=k, v=v, img_range=(s_t, s))
 
 
-def _attend(qkv: JointQKV) -> tuple[np.ndarray, np.ndarray]:
-    s, h, dh = qkv.q.shape
-    scale = 1.0 / np.sqrt(dh)
+def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Scaled per-head logits (H, S, S) of (S, H, d_h) blocks, written into out."""
     # batched per-head matmuls: (H, S, d_h) @ (H, d_h, S) -> (H, S, S)
-    logits = (qkv.q.transpose(1, 0, 2) @ qkv.k.transpose(1, 2, 0)) * scale
-    weights = softmax_rows(logits.reshape(h * s, s)).reshape(h, s, s)
-    merged = (weights @ qkv.v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(s, h * dh)
+    np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=out)
+    out *= 1.0 / np.sqrt(q.shape[2])
+    return out
+
+
+def _attend(q, k, v, weights: np.ndarray) -> np.ndarray:
+    """Per-head outputs (H, S, d_h); the softmax weights are left in weights (H, S, S)."""
+    return _softmax_rows(_logits(q, k, weights)) @ v.transpose(1, 0, 2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _attend_qkv(qkv: JointQKV) -> tuple[np.ndarray, np.ndarray]:
+    s, h, dh = qkv.q.shape
+    weights = np.empty((h, s, s))
+    merged = _attend(qkv.q, qkv.k, qkv.v, weights).transpose(1, 0, 2).reshape(s, h * dh)
     return merged, weights
 
 
 def attention_weights(qkv: JointQKV) -> np.ndarray:
     """Per-head attention weight tensor (H, S, S); every row sums to 1."""
-    return _attend(qkv)[1]
+    return check_finite(_attend_qkv(qkv)[1], "attention weights")
 
 
 def joint_attention(qkv: JointQKV, return_weights: bool = False):
@@ -231,7 +249,7 @@ def joint_attention(qkv: JointQKV, return_weights: bool = False):
     streams at the image range boundary (so the text prefix must be
     non-empty; use attention_weights for image-only fixtures).
     """
-    merged, weights = _attend(qkv)
+    merged, weights = _attend_qkv(qkv)
     i_s, i_e = qkv.img_range
     out = StreamBatch(txt=merged[:i_s], img=merged[i_s:i_e])
     if return_weights:

@@ -4,7 +4,7 @@ Every command is a pure function of its flags: the same invocation writes
 byte-identical artifacts and returns the same exit code. A manifest.json
 recording the resolved parameters and artifact names accompanies every run.
 Exit codes: 0 on success (and all checks passing), 1 for failed --check
-invariants, 2 for usage, configuration, or validation errors.
+invariants, 2 for usage, configuration, validation or I/O errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import joint_attention, project_qkv
+from .attention import _logits, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, apply_dcag, guided_attention, load_config
@@ -210,6 +210,19 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _contour_files(contours) -> dict:
+    """Artifact name -> (metric, level) per --contour; levels finite, names distinct."""
+    files = {}
+    for metric, level in contours:
+        name = f"contour_{metric}_{level:g}.txt"
+        if not math.isfinite(level):
+            raise ConfigError(f"--contour {metric}={level!r}: the level must be finite")
+        if name in files:
+            raise ConfigError(f"--contour {metric}={level!r} would overwrite {name}")
+        files[name] = (metric, level)
+    return files
+
+
 def _cmd_sweep(args) -> int:
     side = math.isqrt(args.img_tokens)
     if side * side != args.img_tokens:
@@ -223,12 +236,12 @@ def _cmd_sweep(args) -> int:
                             dim=args.dim, heads=args.heads)
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
+    contours = _contour_files(args.contour or [])
     dk_values = np.linspace(*args.dk)
     dv_values = np.linspace(*args.dv)
     result = sweep(stack, batch, dk_values, dv_values)
     artifacts = {"sweep.csv": sweep_csv(result)}
-    for metric, level in args.contour or []:
-        name = f"contour_{metric}_{level:g}.txt"
+    for name, (metric, level) in contours.items():
         artifacts[name] = contour_text(iso_contour(result, metric, level))
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
@@ -248,16 +261,21 @@ def _check_identity(batch, weights, token_range) -> bool:
     return np.array_equal(plain.txt, guided.txt) and np.array_equal(plain.img, guided.img)
 
 
-def _check_logit_scaling(qkv, token_range, delta_k: float = 1.1) -> bool:
-    i_s, i_e = token_range
-    scale = 1.0 / np.sqrt(qkv.q.shape[2])
-    logits = (qkv.q.transpose(1, 0, 2) @ qkv.k.transpose(1, 2, 0)) * scale
-    guided = apply_dcag(qkv, GuidanceConfig(token_range, delta_k=delta_k, delta_v=1.0))
-    glogits = (guided.q.transpose(1, 0, 2) @ guided.k.transpose(1, 2, 0)) * scale
-    pre = logits[:, :, i_s:i_e, None] - logits[:, :, None, i_s:i_e]
-    post = glogits[:, :, i_s:i_e, None] - glogits[:, :, None, i_s:i_e]
-    tolerance = 1e-10 * max(1.0, float(np.max(np.abs(delta_k * pre))))
-    return float(np.max(np.abs(post - delta_k * pre))) <= tolerance
+def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
+    """Whether guiding K by delta_k scaled every image-key logit difference by delta_k.
+
+    Per query row, (post_a - post_b) - delta_k * (pre_a - pre_b) over image
+    keys a, b is D_a - D_b for D = post - delta_k * pre, so its largest value
+    is the row range of D: no (S_i, S_i) pair tensor is needed.
+    """
+    i_s, i_e = qkv.img_range
+    s, h, _ = qkv.q.shape
+    pre = _logits(qkv.q, qkv.k, np.empty((h, s, s)))[:, :, i_s:i_e]
+    post = _logits(guided.q, guided.k, np.empty((h, s, s)))[:, :, i_s:i_e]
+    drift = post - delta_k * pre
+    spread = float(np.max(pre.max(axis=2) - pre.min(axis=2)))
+    tolerance = 1e-10 * max(1.0, delta_k * spread)
+    return float(np.max(drift.max(axis=2) - drift.min(axis=2))) <= tolerance
 
 
 def _check_value_affinity(batch, weights, token_range) -> bool:
@@ -301,9 +319,10 @@ def _cmd_attend(args) -> int:
     }
     checks = None
     if args.check:
+        probe = GuidanceConfig(token_range, delta_k=1.1, delta_v=1.0)
         checks = {
             "identity": _check_identity(batch, weights, token_range),
-            "logit_scaling": _check_logit_scaling(qkv, token_range),
+            "logit_scaling": _check_logit_scaling(qkv, apply_dcag(qkv, probe), probe.delta_k),
             "value_affinity": _check_value_affinity(batch, weights, token_range),
         }
     outdir = Path(args.out)
@@ -336,7 +355,7 @@ def main(argv=None) -> int:
         _validate_dims(parser.error, args)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, DegenerateInputError, ValueError) as exc:
+    except (ConfigError, ShapeError, DegenerateInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

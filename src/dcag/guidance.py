@@ -10,6 +10,9 @@ The decomposition keeps the low-order bits the subtraction rounds away
 residual, plain float64 `bias + (x - bias)` differs from x in roughly one
 Gaussian-distributed element out of eight, which would break the exact
 identity and reconstruction guarantees this module advertises.
+
+The public functions are validating wrappers over the kernels _decompose,
+_rescale and _guide; the stack loop in harness calls _guide directly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .attention import JointQKV, LayerWeights, StreamBatch, joint_attention, project_qkv
 from .errors import ConfigError, ShapeError
-from .tensors import as_tensor
+from .tensors import as_tensor, check_finite
 
 __all__ = [
     "BiasDelta",
@@ -78,6 +81,20 @@ class BiasDelta:
         return rescale(self, 1.0, 1.0)
 
 
+def _decompose(block: np.ndarray):
+    """(bias, delta, delta_residual) of an (S_i, H, d_h) block."""
+    bias = block.mean(axis=0, keepdims=True)
+    delta, residual = _two_sum(block, -bias)
+    return bias, delta, residual
+
+
+def _rescale(bias, delta, residual, lam: float, delta_scale: float) -> np.ndarray:
+    """lam * bias + delta_scale * (delta + residual), compensated."""
+    total, carry = _two_sum(lam * bias, delta_scale * delta)
+    return total + (carry + delta_scale * residual)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def decompose(block) -> BiasDelta:
     """Split an (S_i, H, d_h) block into per-head token mean and deviations."""
     block = as_tensor(block, "block")
@@ -85,11 +102,12 @@ def decompose(block) -> BiasDelta:
         raise ShapeError(f"decompose expects an (S_i, H, d_h) block, got shape {block.shape}")
     if block.shape[0] == 0:
         raise ValueError("decompose: empty token range")
-    bias = block.mean(axis=0, keepdims=True)
-    delta, residual = _two_sum(block, -bias)
-    return BiasDelta(bias=bias, delta=delta, delta_residual=residual)
+    bias, delta, residual = _decompose(block)
+    # an overflowing bias or difference leaves a non-finite delta
+    return BiasDelta(bias=bias, delta=check_finite(delta, "delta"), delta_residual=residual)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rescale(bd: BiasDelta, lam, delta_scale) -> np.ndarray:
     """Recombine a decomposition as lam * bias + delta_scale * delta.
 
@@ -99,11 +117,8 @@ def rescale(bd: BiasDelta, lam, delta_scale) -> np.ndarray:
     """
     lam = _check_scale(lam, "lam")
     delta_scale = _check_scale(delta_scale, "delta_scale")
-    scaled_bias = np.broadcast_to(lam * bd.bias, bd.delta.shape)
-    scaled_delta = delta_scale * bd.delta
-    scaled_residual = delta_scale * bd.delta_residual
-    total, carry = _two_sum(scaled_bias, scaled_delta)
-    return total + (carry + scaled_residual)
+    return check_finite(_rescale(bd.bias, bd.delta, bd.delta_residual, lam, delta_scale),
+                        "rescaled block")
 
 
 @dataclass(frozen=True)
@@ -149,6 +164,21 @@ class GuidanceConfig:
         return not self.guided_layers or int(layer) in self.guided_layers
 
 
+def _check_range(cfg: GuidanceConfig, img_range) -> None:
+    if tuple(cfg.token_range) != tuple(img_range):
+        raise ConfigError(
+            f"config token_range {cfg.token_range} does not match the "
+            f"image token range {tuple(img_range)}"
+        )
+
+
+def _guide(k: np.ndarray, v: np.ndarray, i_s: int, cfg: GuidanceConfig) -> None:
+    """Rescale the image rows k[i_s:] and v[i_s:] of (S, H, d_h) blocks in place."""
+    k[i_s:] = _rescale(*_decompose(k[i_s:]), cfg.lambda_k, cfg.delta_k)
+    v[i_s:] = _rescale(*_decompose(v[i_s:]), cfg.lambda_v, cfg.delta_v)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
     """Rescale the image rows of K and V; Q and the text rows pass through.
 
@@ -156,16 +186,10 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
     Returns a new JointQKV; the input is untouched. With identity scales
     the output equals the input bit for bit.
     """
-    if tuple(cfg.token_range) != tuple(qkv.img_range):
-        raise ConfigError(
-            f"config token_range {cfg.token_range} does not match the "
-            f"image token range {qkv.img_range}"
-        )
-    i_s, i_e = qkv.img_range
+    _check_range(cfg, qkv.img_range)
     k = np.array(qkv.k)
     v = np.array(qkv.v)
-    k[i_s:i_e] = rescale(decompose(k[i_s:i_e]), cfg.lambda_k, cfg.delta_k)
-    v[i_s:i_e] = rescale(decompose(v[i_s:i_e]), cfg.lambda_v, cfg.delta_v)
+    _guide(k, v, qkv.img_range[0], cfg)
     return JointQKV(q=qkv.q, k=k, v=v, img_range=qkv.img_range)
 
 

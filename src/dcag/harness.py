@@ -14,11 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import LayerWeights, StreamBatch, joint_attention, project_qkv
+from .attention import (
+    DEFAULT_ROPE_BASE,
+    JointQKV,
+    LayerWeights,
+    StreamBatch,
+    _attend,
+    _project,
+    _rope_table,
+    _stacked,
+)
 from .errors import DegenerateInputError, ShapeError
-from .guidance import GuidanceConfig, apply_dcag
+from .guidance import GuidanceConfig, _check_range, _guide
 from .metrics import mse, psnr, ssim
-from .tensors import as_tensor
+from .tensors import as_tensor, check_finite
 
 __all__ = [
     "ToyStack",
@@ -60,7 +69,6 @@ class ToyStack:
     seed: int
     dim: int
     step_count: int
-    residual: bool = True
 
     def __post_init__(self):
         self.layers = tuple(self.layers)
@@ -76,8 +84,7 @@ class ToyStack:
                 raise ShapeError(f"layer {i} has dim {w.dim}, stack expects {self.dim}")
 
     @classmethod
-    def seeded(cls, seed: int, *, layers: int, steps: int, dim: int, heads: int,
-               residual: bool = True) -> "ToyStack":
+    def seeded(cls, seed: int, *, layers: int, steps: int, dim: int, heads: int) -> "ToyStack":
         """Gaussian weights with std 1/sqrt(dim), one child seed per layer index."""
         seed = _check_seed(seed)
         if layers < 0:
@@ -92,8 +99,7 @@ class ToyStack:
                 img_wq=mats[3], img_wk=mats[4], img_wv=mats[5],
                 heads=heads,
             ))
-        return cls(layers=tuple(built), seed=seed, dim=int(dim),
-                   step_count=int(steps), residual=residual)
+        return cls(layers=tuple(built), seed=seed, dim=int(dim), step_count=int(steps))
 
     def step_embedding(self, step: int) -> np.ndarray:
         """Additive image-token embedding (D,) for one denoising step."""
@@ -110,6 +116,7 @@ def seeded_batch(seed: int, *, txt_tokens: int, img_tokens: int, dim: int) -> St
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = None,
               *, steps: int | None = None, tap=None) -> np.ndarray:
     """Iterate the denoising loop and return the final image block (S_i, D).
@@ -117,30 +124,37 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     Each step adds the step embedding to the image tokens, then runs every
     layer (guided where cfg applies) with residual connections. When given,
     tap(layer, step, qkv) observes each layer's JointQKV before guidance.
+    Arguments are validated once on entry and the result once on return;
+    in between, the attention and guidance kernels run on reused buffers.
     """
     if batch.dim != stack.dim:
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
     steps = stack.step_count if steps is None else int(steps)
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    txt = np.array(batch.txt)
-    img = np.array(batch.img)
+    s_t = batch.txt.shape[0]
+    s = s_t + batch.img.shape[0]
+    if cfg is not None:
+        _check_range(cfg, (s_t, s))
+    positions = np.arange(s, dtype=np.float64)
+    plan = [(w.heads, *_stacked(w), *_rope_table(positions, w.head_dim, DEFAULT_ROPE_BASE))
+            for w in stack.layers]
+    state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
+    txt, img = state[:s_t], state[s_t:]
+    proj = np.empty((s, 3 * stack.dim))
+    weights = np.empty(max((w.heads for w in stack.layers), default=0) * s * s)
     for t in range(steps):
-        img = img + stack.step_embedding(t)
-        for layer, weights in enumerate(stack.layers):
-            qkv = project_qkv(StreamBatch(txt=txt, img=img), weights)
+        img += stack.step_embedding(t)
+        for layer, (h, w_txt, w_img, cos, sin) in enumerate(plan):
+            q, k, v = _project(txt, img, w_txt, w_img, h, cos, sin, proj)
             if tap is not None:
-                tap(layer, t, qkv)
+                tap(layer, t, JointQKV(q=q, k=k, v=v, img_range=(s_t, s)))
             if cfg is not None and cfg.applies_to(layer):
-                qkv = apply_dcag(qkv, cfg)
-            out = joint_attention(qkv)
-            if stack.residual:
-                txt = txt + out.txt
-                img = img + out.img
-            else:
-                txt = np.array(out.txt)
-                img = np.array(out.img)
-    return img
+                _guide(k, v, s_t, cfg)
+            out = _attend(q, k, v, weights[:h * s * s].reshape(h, s, s))
+            residual = state.reshape(s, h, -1)
+            residual += out.transpose(1, 0, 2)
+    return check_finite(img, "stack output")
 
 
 def token_grid(block) -> np.ndarray:

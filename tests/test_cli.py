@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from dcag import GuidanceConfig, format_config, save_config
-from dcag.cli import main
+from dcag import GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, save_config, seeded_batch
+from dcag.cli import _check_logit_scaling, main
 
 FAST_PROFILE = ["--layers", "2", "--steps", "2", "--dim", "16", "--heads", "2",
                 "--txt-tokens", "4", "--img-tokens", "16"]
@@ -113,6 +113,24 @@ class TestSweepCommand:
             x, y = map(float, line.split(","))
             assert 1.0 <= x <= 1.2 and 1.0 <= y <= 1.2
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_contour_level_rejected(self, tmp_path, capsys, level):
+        code = main(["sweep", *FAST_SWEEP, "--contour", f"ssim={level}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not any(tmp_path.iterdir())
+
+    def test_contour_file_name_collision_rejected(self, tmp_path, capsys):
+        code = main(["sweep", *FAST_SWEEP, "--contour", "ssim=0.999999",
+                     "--contour", "ssim=0.9999991", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "contour_ssim_0.999999.txt" in err[0]
+        assert not any(tmp_path.iterdir())
+
     def test_non_square_img_tokens_rejected(self, tmp_path, capsys):
         code = main(["sweep", *FAST_SWEEP[:-1], "120", "--out", str(tmp_path)])
         assert code == 2
@@ -185,6 +203,62 @@ class TestAttendCommand:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["parameters"]["config"]["token_range"] == [4, 16]
+
+
+    def test_logit_scaling_probe_passes_and_fails(self):
+        weights = ToyStack.seeded(42, layers=1, steps=1, dim=64, heads=4).layers[0]
+        for img_tokens in (64, 144):
+            qkv = project_qkv(seeded_batch(42, txt_tokens=8, img_tokens=img_tokens, dim=64),
+                              weights)
+            i_s, i_e = qkv.img_range
+            guided = apply_dcag(qkv, GuidanceConfig((i_s, i_e), delta_k=1.1, delta_v=1.0))
+            assert _check_logit_scaling(qkv, guided, 1.1)
+            k = np.array(guided.k)
+            k[i_s + 3] += 1e-7  # one guided key row off by far more than rounding
+            perturbed = JointQKV(q=guided.q, k=k, v=guided.v, img_range=(i_s, i_e))
+            assert not _check_logit_scaling(qkv, perturbed, 1.1)
+
+    def test_checks_complete_at_576_image_tokens(self, tmp_path, capsys):
+        # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
+        config = tmp_path / "guidance.cfg"
+        config.write_text("delta_k = 1.1\ndelta_v = 1.15\n")
+        code = main(["attend", "--check", "--img-tokens", "576", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "check logit_scaling: PASS" in capsys.readouterr().out
+
+
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "dcag.cli", *argv],
+                          capture_output=True, text=True)
+
+
+class TestErrors:
+    def test_overflowing_key_scale_in_sweep_is_one_line(self, tmp_path):
+        result = run_cli("sweep", *FAST_SWEEP, "--dk", "1e308:1e308:1", "--dv", "1:1:1",
+                         "--out", str(tmp_path))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+
+    def test_overflowing_key_scale_in_attend_is_one_line(self, tmp_path):
+        config = tmp_path / "guidance.cfg"
+        config.write_text("delta_k = 1e308\n")
+        result = run_cli("attend", *FAST_ATTEND, "--config", str(config),
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+
+    @pytest.mark.parametrize("where", ["existing file", "below a file"])
+    def test_unusable_out_path_is_exit_2(self, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if where == "existing file" else blocker / "sub"
+        code = main(["profile", *FAST_PROFILE, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "taken" in err[0]
 
 
 class TestEntryPoint:

@@ -85,6 +85,17 @@ class TestSoftmaxRows:
     def test_shift_invariance_within_1e12(self, x, c):
         assert np.max(np.abs(softmax_rows(x + c) - softmax_rows(x))) <= 1e-12
 
+    def test_matches_plain_formula_bitwise_through_underflow(self, rng):
+        # shifted logits below the exp underflow point must still give exact zeros,
+        # and the rest the same bits as the unshortened max-subtract/exp/normalise
+        x = rng.standard_normal((6, 40))
+        x[:, ::3] -= 745.0
+        x[:, 1::5] -= 746.5
+        x[:, 2::7] *= 1e4
+        shifted = x - x.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        assert np.array_equal(softmax_rows(x), e / e.sum(axis=1, keepdims=True))
+
     def test_non_negative(self, rng):
         assert np.all(softmax_rows(rng.standard_normal((5, 5))) >= 0.0)
 
