@@ -138,10 +138,6 @@ class JointQKV:
                 f"image range {self.img_range} inconsistent with sequence length {self.q.shape[0]}"
             )
 
-    @property
-    def seq_len(self) -> int:
-        return self.q.shape[0]
-
 
 def _rope_table(positions: np.ndarray, head_dim: int, base: float):
     """cos and sin of every (position, pair) angle, each shaped (S, 1, d_h / 2)."""

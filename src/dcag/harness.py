@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    DEFAULT_ROPE_BASE,
-    JointQKV,
-    LayerWeights,
-    StreamBatch,
-    _attend,
-    _project,
-    _rope_table,
-    _stacked,
-)
+from .attention import (DEFAULT_ROPE_BASE, JointQKV, LayerWeights, StreamBatch, _attend,
+                        _project, _rope_table, _stacked)
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _check_range, _guide
 from .metrics import mse, psnr, ssim

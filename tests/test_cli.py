@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from dcag import GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, save_config, seeded_batch
+from dcag import (GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, save_config,
+                  seeded_batch)
 from dcag.cli import _check_logit_scaling, main
 
 FAST_PROFILE = ["--layers", "2", "--steps", "2", "--dim", "16", "--heads", "2",
