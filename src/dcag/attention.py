@@ -213,23 +213,32 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights,
 
 
 def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Scaled per-head logits (H, S, S) of (S, H, d_h) blocks, written into out."""
-    # batched per-head matmuls: (H, S, d_h) @ (H, d_h, S) -> (H, S, S)
-    np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=out)
-    out *= 1.0 / np.sqrt(q.shape[2])
+    """Scaled logits (S, S) of one head's (S, d_h) q and k, written into out."""
+    np.matmul(q, k.T, out=out)
+    out *= 1.0 / np.sqrt(q.shape[1])
     return out
 
 
-def _attend(q, k, v, weights: np.ndarray) -> np.ndarray:
-    """Per-head outputs (H, S, d_h); the softmax weights are left in weights (H, S, S)."""
-    return _softmax_rows(_logits(q, k, weights)) @ v.transpose(1, 0, 2)
+def _attend(q, k, v, weights, out: np.ndarray) -> np.ndarray:
+    """Attention of (S, H, d_h) blocks into out (S, H, d_h), one head at a time.
+
+    weights yields one C-contiguous (S, S) buffer per head: one buffer
+    repeated H times, or the slices of an (H, S, S) tensor. Each is left
+    holding its head's softmax weights. These are the per-head gemm calls a
+    batched (H, S, S) matmul makes, so the results are bitwise the same.
+    Query-block tiling is not: BLAS rounds row blocks differently.
+    """
+    for head, w in enumerate(weights):
+        _softmax_rows(_logits(q[:, head], k[:, head], w))
+        np.matmul(w, v[:, head], out=out[:, head])
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _attend_qkv(qkv: JointQKV) -> tuple[np.ndarray, np.ndarray]:
     s, h, dh = qkv.q.shape
     weights = np.empty((h, s, s))
-    merged = _attend(qkv.q, qkv.k, qkv.v, weights).transpose(1, 0, 2).reshape(s, h * dh)
+    merged = _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh))).reshape(s, h * dh)
     return merged, weights
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .attention import _logits, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .guidance import GuidanceConfig, apply_dcag, guided_attention, load_config
+from .guidance import GuidanceConfig, _check_range, apply_dcag, guided_attention, load_config
 from .harness import ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
@@ -97,8 +97,15 @@ def _add_dim_flags(parser, *, img_tokens_default: int, with_stack: bool = True):
     parser.add_argument("--out", default=".", help="output directory (default .)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one `error:` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcag",
         description="Dual-channel K/V attention guidance: profiling, sweeps, and guided passes.",
     )
@@ -223,6 +230,16 @@ def _contour_files(contours) -> dict:
     return files
 
 
+def _grid_values(flag: str, value_range) -> np.ndarray:
+    """The swept values of a start:stop:count range; a value may not repeat."""
+    values = np.linspace(*value_range)
+    if np.any(values[1:] == values[:-1]):  # linspace is monotone: repeats are adjacent
+        start, stop, count = value_range
+        raise ConfigError(f"{flag} {start!r}:{stop!r}:{count} repeats grid values; "
+                          "start and stop must differ when count > 1")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     side = math.isqrt(args.img_tokens)
     if side * side != args.img_tokens:
@@ -237,8 +254,8 @@ def _cmd_sweep(args) -> int:
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
     contours = _contour_files(args.contour or [])
-    dk_values = np.linspace(*args.dk)
-    dv_values = np.linspace(*args.dv)
+    dk_values = _grid_values("--dk", args.dk)
+    dv_values = _grid_values("--dv", args.dv)
     result = sweep(stack, batch, dk_values, dv_values)
     artifacts = {"sweep.csv": sweep_csv(result)}
     for name, (metric, level) in contours.items():
@@ -266,16 +283,21 @@ def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
 
     Per query row, (post_a - post_b) - delta_k * (pre_a - pre_b) over image
     keys a, b is D_a - D_b for D = post - delta_k * pre, so its largest value
-    is the row range of D: no (S_i, S_i) pair tensor is needed.
+    is the row range of D: no (S_i, S_i) pair tensor is needed. Heads are
+    checked one at a time, on one (S, S) buffer per logit set.
     """
     i_s, i_e = qkv.img_range
     s, h, _ = qkv.q.shape
-    pre = _logits(qkv.q, qkv.k, np.empty((h, s, s)))[:, :, i_s:i_e]
-    post = _logits(guided.q, guided.k, np.empty((h, s, s)))[:, :, i_s:i_e]
-    drift = post - delta_k * pre
-    spread = float(np.max(pre.max(axis=2) - pre.min(axis=2)))
-    tolerance = 1e-10 * max(1.0, delta_k * spread)
-    return float(np.max(drift.max(axis=2) - drift.min(axis=2))) <= tolerance
+    pre_buf, post_buf = np.empty((s, s)), np.empty((s, s))
+    spreads, drifts = [], []
+    for head in range(h):
+        pre = _logits(qkv.q[:, head], qkv.k[:, head], pre_buf)[:, i_s:i_e]
+        post = _logits(guided.q[:, head], guided.k[:, head], post_buf)[:, i_s:i_e]
+        post -= delta_k * pre
+        spreads.append(np.max(pre.max(axis=1) - pre.min(axis=1)))
+        drifts.append(np.max(post.max(axis=1) - post.min(axis=1)))
+    tolerance = 1e-10 * max(1.0, delta_k * float(np.max(spreads)))
+    return float(np.max(drifts)) <= tolerance
 
 
 def _check_value_affinity(batch, weights, token_range) -> bool:
@@ -301,7 +323,9 @@ def _cmd_attend(args) -> int:
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
     qkv = project_qkv(batch, weights)
-    guided = apply_dcag(qkv, cfg)
+    _check_range(cfg, qkv.img_range)
+    # the pass is layer 0 of a stack, so guided_layers gates it like run_stack does
+    guided = apply_dcag(qkv, cfg) if cfg.applies_to(0) else qkv
     out, weights_tensor = joint_attention(guided, return_weights=True)
     i_s, i_e = qkv.img_range
     s, h, dh = qkv.q.shape

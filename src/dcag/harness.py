@@ -117,7 +117,8 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     layer (guided where cfg applies) with residual connections. When given,
     tap(layer, step, qkv) observes each layer's JointQKV before guidance.
     Arguments are validated once on entry and the result once on return;
-    in between, the attention and guidance kernels run on reused buffers.
+    in between, the attention and guidance kernels run on reused buffers,
+    attention on one (S, S) weights buffer shared by every head.
     """
     if batch.dim != stack.dim:
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
@@ -134,7 +135,8 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
     txt, img = state[:s_t], state[s_t:]
     proj = np.empty((s, 3 * stack.dim))
-    weights = np.empty(max((w.heads for w in stack.layers), default=0) * s * s)
+    attn = np.empty((s, stack.dim))
+    weights = np.empty((s, s))  # every head of every layer reuses it
     for t in range(steps):
         img += stack.step_embedding(t)
         for layer, (h, w_txt, w_img, cos, sin) in enumerate(plan):
@@ -143,9 +145,8 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
                 tap(layer, t, JointQKV(q=q, k=k, v=v, img_range=(s_t, s)))
             if cfg is not None and cfg.applies_to(layer):
                 _guide(k, v, s_t, cfg)
-            out = _attend(q, k, v, weights[:h * s * s].reshape(h, s, s))
-            residual = state.reshape(s, h, -1)
-            residual += out.transpose(1, 0, 2)
+            _attend(q, k, v, (weights,) * h, attn.reshape(s, h, -1))
+            state += attn
     return check_finite(img, "stack output")
 
 

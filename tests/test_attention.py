@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -189,3 +193,41 @@ class TestJointAttention:
         weights = attention_weights(qkv)
         assert weights.shape == (2, 6, 6)
         assert np.max(np.abs(weights.sum(axis=2) - 1.0)) <= 1e-12
+
+
+# Runs in a fresh interpreter so OPENBLAS_NUM_THREADS takes effect. q, k, v
+# are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack.
+PER_HEAD_VS_BATCHED = """
+import hashlib
+import numpy as np
+from dcag.attention import _attend
+from dcag.tensors import _softmax_rows
+
+rng = np.random.default_rng(11)
+for s in (408, 579, 1032):
+    for h in (4, 16):
+        block = rng.standard_normal((s, 3 * 64))
+        q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
+        scale = 1.0 / np.sqrt(q.shape[2])
+        qh, kt, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
+        batched = np.matmul(qh, kt)
+        batched *= scale
+        expected = (_softmax_rows(batched) @ vh).transpose(1, 0, 2)
+        expected_weights = hashlib.sha256(batched).hexdigest()
+        del batched  # keep one (H, S, S) tensor alive at a time
+        weights = np.empty((h, s, s))
+        out = _attend(q, k, v, weights, np.empty(q.shape))
+        assert np.array_equal(out, expected), (s, h, "(H, S, S) slices")
+        assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
+        del weights
+        out = _attend(q, k, v, (np.empty((s, s)),) * h, np.empty(q.shape))
+        assert np.array_equal(out, expected), (s, h, "one (S, S) buffer")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_per_head_kernel_equals_batched_matmul_bitwise(threads):
+    result = subprocess.run([sys.executable, "-c", PER_HEAD_VS_BATCHED],
+                            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -99,6 +99,15 @@ class TestSweepCommand:
             main(["sweep", "--dk", "1.0-1.2-5", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dk", ["1:1:3", "1:1.0000000000000002:5"])
+    def test_collapsed_range_rejected(self, tmp_path, capsys, monkeypatch, dk):
+        monkeypatch.setattr("dcag.cli.sweep", lambda *args: pytest.fail("the sweep ran"))
+        code = main(["sweep", *FAST_SWEEP, "--dk", dk, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --dk") and "repeats" in err[0]
+        assert not any(tmp_path.iterdir())
+
     def test_contour_level_outside_range_writes_empty_file(self, tmp_path):
         code = main(["sweep", *FAST_SWEEP, "--dk", "1.0:1.1:2", "--dv", "1.0:1.1:2",
                      "--contour", "ssim=-5.0", "--out", str(tmp_path)])
@@ -197,6 +206,26 @@ class TestAttendCommand:
         assert code == 2
         assert "token_range" in capsys.readouterr().err
 
+    def test_guided_layers_without_layer_0_leave_the_pass_unguided(self, tmp_path):
+        subset, identity = tmp_path / "subset", tmp_path / "identity"
+        config = self.write_config(tmp_path, delta_k=1.2, delta_v=0.9, guided_layers=(1, 3))
+        assert main(["attend", *FAST_ATTEND, "--config", config, "--out", str(subset)]) == 0
+        config = self.write_config(tmp_path, delta_k=1.0, delta_v=1.0)
+        assert main(["attend", *FAST_ATTEND, "--config", config, "--out", str(identity)]) == 0
+        for name in ("k_img_post.csv", "v_img_post.csv", "attention.csv", "output.csv"):
+            assert read(subset / name) == read(identity / name)
+        assert read(subset / "k_img_post.csv") == read(subset / "k_img_pre.csv")
+        manifest = json.loads((subset / "manifest.json").read_text())
+        assert manifest["parameters"]["config"]["guided_layers"] == [1, 3]
+
+    def test_mismatched_token_range_is_config_error_when_layer_0_is_unguided(
+            self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        save_config(GuidanceConfig(token_range=(2, 9), guided_layers=(1,)), path)
+        code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "token_range" in capsys.readouterr().err
+
     def test_config_without_range_uses_derived_range(self, tmp_path):
         path = tmp_path / "scales-only.cfg"
         path.write_text("delta_k = 1.2\ndelta_v = 1.0\n")
@@ -250,6 +279,22 @@ class TestErrors:
         assert result.returncode == 2
         err = result.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+
+    @pytest.mark.parametrize("argv", [["sweep", "--dk", "1:2"],
+                                      ["profile", "--dim", "10", "--heads", "4"],
+                                      []])
+    def test_usage_error_is_one_line(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("flag, start", [("--help", "usage: dcag"), ("--version", "dcag ")])
+    def test_help_and_version_still_print_and_exit_0(self, flag, start):
+        result = run_cli(flag)
+        assert result.returncode == 0
+        assert result.stdout.startswith(start) and result.stderr == ""
 
     @pytest.mark.parametrize("where", ["existing file", "below a file"])
     def test_unusable_out_path_is_exit_2(self, tmp_path, capsys, where):

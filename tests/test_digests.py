@@ -112,19 +112,21 @@ CASES = {
         "sweep.csv":
             "51dfe58fb596e76ead482edcf365ed384bf79821e05a599ff93d69901765c2fa",
     }),
+    # guided_layers = 1,3 leaves layer 0, the attend pass, unguided: K and V
+    # keep their pre digests, attention and output match an identity config
     "attend-guided-subset": (["attend", "--check"], SUBSET, {
         "attention.csv":
-            "9390bc716123bf83e93015d7d4ba56a454310df2407825ecdd98bd3fd5772a57",
+            "1112e87ba87edb67d6d5214a3e43284d13ae2d52b5c314e97a6e87c7c8bc81e4",
         "k_img_post.csv":
-            "2a17a614e03bad0fea20203b82fdb21fdb520ef91533c00730bf5b152b080bf5",
+            "3945cd27e4a36c73dcd0311622b2689855b880b3e47ed8479f77464c04d5bb14",
         "k_img_pre.csv":
             "3945cd27e4a36c73dcd0311622b2689855b880b3e47ed8479f77464c04d5bb14",
         "manifest.json":
             "6316213f4b075bd1f0efc3aacabce0e0682eb3db4c700724fff1b462acbbda8f",
         "output.csv":
-            "a07a7c7d5ec001c323b59124867b2b4401eae0a55f161e0e34fc262c6e0af7f7",
+            "7e610001f77fbf3c7a40b279b755f6d80b500aa25a0285fd81f81d1f1da71857",
         "v_img_post.csv":
-            "7d486853f1cd357870dc3fde5fb0592bb24f2d260d6c44116ffa4034b54ea647",
+            "f257184a9080b1468610e3b0a4a5822ccd37453ed34f3917591d96ba0489fcdf",
         "v_img_pre.csv":
             "f257184a9080b1468610e3b0a4a5822ccd37453ed34f3917591d96ba0489fcdf",
     }),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,18 @@ class TestSweep:
     def test_empty_value_lists_rejected(self, stack, batch):
         with pytest.raises(ValueError, match="non-empty"):
             sweep(stack, batch, [], [1.0])
+
+
+def test_stack_attention_memory_is_one_square_buffer():
+    # a batched (H, S, S) logits tensor alone is 34 MB here; (S, S) is 8.5 MB
+    s_t, s_i, heads = 8, 1024, 4
+    stack = ToyStack.seeded(0, layers=1, steps=1, dim=64, heads=heads)
+    batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=64)
+    tracemalloc.start()
+    try:
+        run_stack(stack, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    s = s_t + s_i
+    assert peak < 2 * s * s * 8
