@@ -46,7 +46,7 @@ from .harness import (
 )
 from .metrics import PSNR_CAP_DB, SSIM_WINDOW, mse, psnr, ssim
 from .profiling import RatioProfile, heatmap_pgm, pearson, profile_stack, ratio, ratios_csv
-from .tensors import l2_norm, matmul, mean_over_tokens, rowwise_l2, softmax_rows
+from .tensors import matmul, softmax_rows
 
 __version__ = "0.1.0"
 
@@ -57,9 +57,6 @@ __all__ = [
     "ShapeError",
     "matmul",
     "softmax_rows",
-    "mean_over_tokens",
-    "l2_norm",
-    "rowwise_l2",
     "StreamBatch",
     "LayerWeights",
     "JointQKV",

@@ -235,26 +235,26 @@ def _attend(q, k, v, weights, out: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _attend_qkv(qkv: JointQKV) -> tuple[np.ndarray, np.ndarray]:
-    s, h, dh = qkv.q.shape
-    weights = np.empty((h, s, s))
-    merged = _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh))).reshape(s, h * dh)
-    return merged, weights
-
-
 def attention_weights(qkv: JointQKV) -> np.ndarray:
     """Per-head attention weight tensor (H, S, S); every row sums to 1."""
-    return check_finite(_attend_qkv(qkv)[1], "attention weights")
+    s, h, dh = qkv.q.shape
+    weights = np.empty((h, s, s))
+    _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh)))
+    return check_finite(weights, "attention weights")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def joint_attention(qkv: JointQKV, return_weights: bool = False):
     """Scaled dot-product attention over the joint sequence.
 
     Heads are re-merged and the output is split back into text and image
     streams at the image range boundary (so the text prefix must be
-    non-empty; use attention_weights for image-only fixtures).
+    non-empty; use attention_weights for image-only fixtures). Unless the
+    (H, S, S) weights are returned, every head reuses one (S, S) buffer.
     """
-    merged, weights = _attend_qkv(qkv)
+    s, h, dh = qkv.q.shape
+    weights = np.empty((h, s, s)) if return_weights else (np.empty((s, s)),) * h
+    merged = _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh))).reshape(s, h * dh)
     i_s, i_e = qkv.img_range
     out = StreamBatch(txt=merged[:i_s], img=merged[i_s:i_e])
     if return_weights:

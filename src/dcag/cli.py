@@ -21,7 +21,7 @@ from . import __version__
 from .attention import _logits, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .guidance import GuidanceConfig, _check_range, apply_dcag, guided_attention, load_config
+from .guidance import GuidanceConfig, _check_range, apply_dcag, load_config
 from .harness import ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
@@ -272,9 +272,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_identity(batch, weights, token_range) -> bool:
-    plain = guided_attention(batch, weights, None)
-    guided = guided_attention(batch, weights, GuidanceConfig.identity(token_range))
+def _check_identity(qkv) -> bool:
+    plain = joint_attention(qkv)
+    guided = joint_attention(apply_dcag(qkv, GuidanceConfig.identity(qkv.img_range)))
     return np.array_equal(plain.txt, guided.txt) and np.array_equal(plain.img, guided.img)
 
 
@@ -300,10 +300,10 @@ def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
     return float(np.max(drifts)) <= tolerance
 
 
-def _check_value_affinity(batch, weights, token_range) -> bool:
+def _check_value_affinity(qkv) -> bool:
     def output(delta_v):
-        cfg = GuidanceConfig(token_range, delta_k=1.0, delta_v=delta_v)
-        out = guided_attention(batch, weights, cfg)
+        cfg = GuidanceConfig(qkv.img_range, delta_k=1.0, delta_v=delta_v)
+        out = joint_attention(apply_dcag(qkv, cfg))
         return np.concatenate([out.txt, out.img], axis=0)
 
     o0, o1 = output(0.0), output(1.0)
@@ -345,9 +345,9 @@ def _cmd_attend(args) -> int:
     if args.check:
         probe = GuidanceConfig(token_range, delta_k=1.1, delta_v=1.0)
         checks = {
-            "identity": _check_identity(batch, weights, token_range),
+            "identity": _check_identity(qkv),
             "logit_scaling": _check_logit_scaling(qkv, apply_dcag(qkv, probe), probe.delta_k),
-            "value_affinity": _check_value_affinity(batch, weights, token_range),
+            "value_affinity": _check_value_affinity(qkv),
         }
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)

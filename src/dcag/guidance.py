@@ -48,9 +48,13 @@ DEFAULT_DELTA_V = 1.15
 
 def _two_sum(a, b):
     # Knuth's error-free transformation: s + err == a + b exactly.
+    # err = (a - (s - bb)) + (b - bb), the same operations without temporaries
     s = a + b
     bb = s - a
-    err = (a - (s - bb)) + (b - bb)
+    err = s - bb
+    np.subtract(a, err, out=err)
+    np.subtract(b, bb, out=bb)
+    err += bb
     return s, err
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
+from .guidance import _decompose
 from .harness import ToyStack, run_stack
-from .tensors import as_tensor, l2_norm, rowwise_l2
+from .tensors import as_tensor
 
 __all__ = [
     "RatioProfile",
@@ -32,7 +33,7 @@ def ratio(block, per_head: bool = False) -> float:
 
     Token vectors are flattened across heads by default, matching a
     whole-token reading of the norms; per_head=True instead averages the
-    per-head ratios.
+    per-head ratios. bias and delta are those guidance rescales.
     """
     block = as_tensor(block, "block")
     if block.ndim != 3:
@@ -40,18 +41,18 @@ def ratio(block, per_head: bool = False) -> float:
     count = block.shape[0]
     if count == 0:
         raise ValueError("ratio: empty token range")
-    bias = block.mean(axis=0, keepdims=True)
-    delta = block - bias
+    bias, delta = _decompose(block)[:2]
     if per_head:
         bias_norms = np.sqrt(np.sum(bias * bias, axis=2)).ravel()
         if np.any(bias_norms == 0.0):
             raise DegenerateInputError("ratio undefined: a head has a zero-norm bias")
         delta_norms = np.sqrt(np.sum(delta * delta, axis=2))
         return float(np.mean(delta_norms.mean(axis=0) / bias_norms))
-    bias_norm = l2_norm(bias)
+    bias_norm = float(np.sqrt(np.sum(bias * bias)))
     if bias_norm == 0.0:
         raise DegenerateInputError("ratio undefined for a zero-norm bias")
-    delta_norms = rowwise_l2(delta.reshape(count, -1))
+    delta = delta.reshape(count, -1)
+    delta_norms = np.sqrt(np.sum(delta * delta, axis=1, keepdims=True))
     return float(delta_norms.mean() / bias_norm)
 
 
@@ -80,8 +81,8 @@ class RatioProfile:
         return self.ratios.shape[1]
 
 
-def profile_stack(stack: ToyStack, batch, steps: int | None = None,
-                  per_head: bool = False) -> tuple[RatioProfile, RatioProfile]:
+def profile_stack(stack: ToyStack, batch,
+                  steps: int | None = None) -> tuple[RatioProfile, RatioProfile]:
     """Run the stack unguided and record K and V ratios at every (layer, step)."""
     steps = stack.step_count if steps is None else int(steps)
     if steps < 1:
@@ -92,8 +93,8 @@ def profile_stack(stack: ToyStack, batch, steps: int | None = None,
 
     def tap(layer, step, qkv):
         i_s, i_e = qkv.img_range
-        ratios_k[layer, step] = ratio(qkv.k[i_s:i_e], per_head=per_head)
-        ratios_v[layer, step] = ratio(qkv.v[i_s:i_e], per_head=per_head)
+        ratios_k[layer, step] = ratio(qkv.k[i_s:i_e])
+        ratios_v[layer, step] = ratio(qkv.v[i_s:i_e])
 
     run_stack(stack, batch, cfg=None, steps=steps, tap=tap)
     return RatioProfile("K", ratios_k), RatioProfile("V", ratios_v)

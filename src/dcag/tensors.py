@@ -18,9 +18,6 @@ __all__ = [
     "check_finite",
     "matmul",
     "softmax_rows",
-    "mean_over_tokens",
-    "l2_norm",
-    "rowwise_l2",
 ]
 
 
@@ -76,27 +73,3 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     np.copyto(x, 0.0, where=x < 0.0)
     x /= x.sum(axis=-1, keepdims=True)
     return x
-
-
-def mean_over_tokens(x) -> np.ndarray:
-    """Arithmetic mean over the token (row) axis of an (s, d) block, kept 2D."""
-    x = as_tensor(x, "token block")
-    if x.ndim != 2:
-        raise ShapeError(f"mean_over_tokens expects an (s, d) block, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError("mean_over_tokens: no tokens to average")
-    return x.mean(axis=0, keepdims=True)
-
-
-def l2_norm(x) -> float:
-    """Euclidean norm of the flattened tensor."""
-    x = as_tensor(x)
-    return float(np.sqrt(np.sum(x * x)))
-
-
-def rowwise_l2(x) -> np.ndarray:
-    """Per-token Euclidean norms of an (s, d) block, returned as (s, 1)."""
-    x = as_tensor(x, "token block")
-    if x.ndim != 2:
-        raise ShapeError(f"rowwise_l2 expects an (s, d) block, got shape {x.shape}")
-    return np.sqrt(np.sum(x * x, axis=1, keepdims=True))

@@ -248,6 +248,24 @@ class TestAttendCommand:
             perturbed = JointQKV(q=guided.q, k=k, v=guided.v, img_range=(i_s, i_e))
             assert not _check_logit_scaling(qkv, perturbed, 1.1)
 
+    def test_identity_and_value_affinity_probes_fail_on_a_nonlinear_value(
+            self, tmp_path, capsys, monkeypatch):
+        def perturbed(qkv, cfg):
+            guided = apply_dcag(qkv, cfg)
+            v = np.array(guided.v)
+            v[qkv.img_range[0] + 3, 0, 0] += 1e-7 * cfg.delta_v ** 2
+            return JointQKV(q=guided.q, k=guided.k, v=v, img_range=guided.img_range)
+
+        monkeypatch.setattr("dcag.cli.apply_dcag", perturbed)
+        config = self.write_config(tmp_path, delta_k=1.0, delta_v=1.0)
+        code = main(["attend", *FAST_ATTEND, "--config", config, "--check",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "check identity: FAIL" in out
+        assert "check value_affinity: FAIL" in out
+        assert "check logit_scaling: PASS" in out  # K is untouched
+
     def test_checks_complete_at_576_image_tokens(self, tmp_path, capsys):
         # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
         config = tmp_path / "guidance.cfg"

@@ -13,6 +13,7 @@ from dcag import (
     ToyStack,
     apply_dcag,
     decompose,
+    guided_attention,
     joint_attention,
     project_qkv,
     render_tokens,
@@ -230,11 +231,15 @@ def test_stack_attention_memory_is_one_square_buffer():
     s_t, s_i, heads = 8, 1024, 4
     stack = ToyStack.seeded(0, layers=1, steps=1, dim=64, heads=heads)
     batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=64)
-    tracemalloc.start()
-    try:
-        run_stack(stack, batch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    qkv = project_qkv(batch, stack.layers[0])
     s = s_t + s_i
-    assert peak < 2 * s * s * 8
+    cfg = GuidanceConfig((s_t, s))
+    for attend in (lambda: run_stack(stack, batch), lambda: joint_attention(qkv),
+                   lambda: guided_attention(batch, stack.layers[0], cfg)):
+        tracemalloc.start()
+        try:
+            attend()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * s * s * 8

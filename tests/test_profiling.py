@@ -51,6 +51,22 @@ class TestRatio:
         assert per_head > 0.0
         assert per_head != flat  # distinct reading of the same block
 
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_matches_plain_formula_bitwise(self, rng, offset):
+        # the reference is the plain mean/deviation formula; offset 1e8 over
+        # unit noise makes block - bias cancel most of its significant bits
+        for shape in ((1, 1, 2), (7, 3, 4), (64, 4, 16), (257, 2, 8)):
+            block = offset + rng.standard_normal(shape)
+            bias = block.mean(axis=0, keepdims=True)
+            delta = block - bias
+            flat = delta.reshape(shape[0], -1)
+            flat_norms = np.sqrt(np.sum(flat * flat, axis=1, keepdims=True))
+            assert ratio(block) == float(flat_norms.mean() / np.sqrt(np.sum(bias * bias)))
+            head_norms = np.sqrt(np.sum(delta * delta, axis=2))
+            bias_norms = np.sqrt(np.sum(bias * bias, axis=2)).ravel()
+            expected = float(np.mean(head_norms.mean(axis=0) / bias_norms))
+            assert ratio(block, per_head=True) == expected
+
     def test_zero_bias_is_degenerate(self):
         block = np.array([[[1.0, 0.0]], [[-1.0, 0.0]]])
         with pytest.raises(DegenerateInputError, match="zero-norm bias"):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcag import ShapeError, l2_norm, matmul, mean_over_tokens, rowwise_l2, softmax_rows
+from dcag import ShapeError, matmul, softmax_rows
 from oracles import naive_matmul
 
 
@@ -104,48 +104,3 @@ class TestSoftmaxRows:
             softmax_rows(np.zeros((3, 0)))
         with pytest.raises(ValueError, match="empty"):
             softmax_rows(np.zeros((0, 3)))
-
-
-class TestMeanOverTokens:
-    def test_single_token_is_returned(self, rng):
-        x = rng.standard_normal((1, 6))
-        out = mean_over_tokens(x)
-        assert out.shape == (1, 6)
-        assert np.array_equal(out, x)
-
-    def test_hand_case(self):
-        out = mean_over_tokens(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(out, np.array([[0.5, 0.5]]))
-
-    def test_linearity(self, rng):
-        x = rng.standard_normal((12, 5))
-        y = rng.standard_normal((12, 5))
-        combined = mean_over_tokens(2.5 * x + 0.75 * y)
-        separate = 2.5 * mean_over_tokens(x) + 0.75 * mean_over_tokens(y)
-        assert np.max(np.abs(combined - separate)) <= 1e-12
-
-    def test_shift_by_constant_vector(self, rng):
-        x = rng.standard_normal((9, 4))
-        c = rng.standard_normal(4)
-        assert np.max(np.abs(mean_over_tokens(x + c) - (mean_over_tokens(x) + c))) <= 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no tokens"):
-            mean_over_tokens(np.zeros((0, 4)))
-
-
-class TestNorms:
-    def test_zeros(self):
-        assert l2_norm(np.zeros((3, 3))) == 0.0
-
-    def test_pythagorean(self):
-        assert l2_norm(np.array([3.0, 4.0])) == 5.0
-
-    def test_rowwise(self):
-        out = rowwise_l2(np.array([[3.0, 4.0], [0.0, 0.0]]))
-        assert out.shape == (2, 1)
-        assert np.array_equal(out, np.array([[5.0], [0.0]]))
-
-    def test_rowwise_requires_matrix(self):
-        with pytest.raises(ShapeError):
-            rowwise_l2(np.zeros(4))
