@@ -72,7 +72,7 @@ class LayerWeights:
     """Per-stream projection matrices for one attention layer.
 
     All six matrices are (D, D); D splits evenly into `heads` heads of
-    d_h = D / heads coordinates each.
+    d_h = D / heads coordinates each, and d_h is even (RoPE rotates pairs).
     """
 
     txt_wq: np.ndarray
@@ -97,6 +97,9 @@ class LayerWeights:
             raise ValueError(f"heads must be positive, got {self.heads}")
         if d % self.heads != 0:
             raise ShapeError(f"hidden dimension {d} is not divisible by {self.heads} heads")
+        if self.head_dim % 2 != 0:
+            raise ShapeError(f"head dimension {self.head_dim} (hidden dimension {d} / "
+                             f"{self.heads} heads) must be even for RoPE")
 
     @property
     def dim(self) -> int:
@@ -139,9 +142,9 @@ class JointQKV:
             )
 
 
-def _rope_table(positions: np.ndarray, head_dim: int, base: float):
+def _rope_table(positions: np.ndarray, head_dim: int):
     """cos and sin of every (position, pair) angle, each shaped (S, 1, d_h / 2)."""
-    theta = float(base) ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
+    theta = DEFAULT_ROPE_BASE ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
     angles = positions[:, None] * theta[None, :]
     return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
 
@@ -154,10 +157,11 @@ def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def rope(x, positions, base: float = DEFAULT_ROPE_BASE) -> np.ndarray:
+def rope(x, positions) -> np.ndarray:
     """Rotate consecutive coordinate pairs (2j, 2j+1) of an (S, H, d_h) block.
 
-    Pair j of the token at position p turns by the angle p * base**(-2j/d_h).
+    Pair j of the token at position p turns by the angle
+    p * DEFAULT_ROPE_BASE**(-2j/d_h).
     Every rotation is an isometry, so per-pair norms are preserved; position
     0 is left untouched.
     """
@@ -170,7 +174,7 @@ def rope(x, positions, base: float = DEFAULT_ROPE_BASE) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (s,):
         raise ShapeError(f"need one position per token: {pos.shape} positions for {s} tokens")
-    return check_finite(_rope(x.copy(), *_rope_table(pos, dh, base)), "rope output")
+    return check_finite(_rope(x.copy(), *_rope_table(pos, dh)), "rope output")
 
 
 def _stacked(weights: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +196,7 @@ def _project(txt, img, w_txt, w_img, heads: int, cos, sin, out: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def project_qkv(batch: StreamBatch, weights: LayerWeights,
-                rope_base: float = DEFAULT_ROPE_BASE) -> JointQKV:
+def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
     """Project both streams to per-head Q, K, V and apply RoPE to Q and K.
 
     Positions run 0..S_t-1 over the text tokens and continue contiguously
@@ -206,7 +209,7 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights,
         )
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
-    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim, rope_base)
+    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim)
     q, k, v = _project(batch.txt, batch.img, *_stacked(weights), weights.heads, cos, sin,
                        np.empty((s, 3 * weights.dim)))
     return JointQKV(q=q, k=k, v=v, img_range=(s_t, s))
@@ -244,19 +247,16 @@ def attention_weights(qkv: JointQKV) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def joint_attention(qkv: JointQKV, return_weights: bool = False):
+def joint_attention(qkv: JointQKV) -> StreamBatch:
     """Scaled dot-product attention over the joint sequence.
 
     Heads are re-merged and the output is split back into text and image
     streams at the image range boundary (so the text prefix must be
-    non-empty; use attention_weights for image-only fixtures). Unless the
-    (H, S, S) weights are returned, every head reuses one (S, S) buffer.
+    non-empty; use attention_weights for image-only fixtures). Every head
+    reuses one (S, S) buffer; attention_weights returns the (H, S, S) tensor.
     """
     s, h, dh = qkv.q.shape
-    weights = np.empty((h, s, s)) if return_weights else (np.empty((s, s)),) * h
-    merged = _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh))).reshape(s, h * dh)
+    merged = _attend(qkv.q, qkv.k, qkv.v, (np.empty((s, s)),) * h,
+                     np.empty((s, h, dh))).reshape(s, h * dh)
     i_s, i_e = qkv.img_range
-    out = StreamBatch(txt=merged[:i_s], img=merged[i_s:i_e])
-    if return_weights:
-        return out, weights
-    return out
+    return StreamBatch(txt=merged[:i_s], img=merged[i_s:i_e])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import _logits, joint_attention, project_qkv
+from .attention import _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _check_range, apply_dcag, load_config
@@ -141,16 +141,15 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _matrix_csv(matrix: np.ndarray) -> str:
-    rows = [",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)]
-    return "\n".join(rows) + "\n"
-
-
 def _write_artifacts(outdir: Path, artifacts: dict) -> None:
+    """Write each artifact; a 2D array is streamed row by row as 17-digit CSV."""
     outdir.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         with open(outdir / name, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
+            if isinstance(content, np.ndarray):
+                np.savetxt(handle, content, fmt="%.17g", delimiter=",")
+            else:
+                handle.write(content)
 
 
 def _write_manifest(outdir: Path, command: str, parameters: dict, artifacts,
@@ -326,7 +325,7 @@ def _cmd_attend(args) -> int:
     _check_range(cfg, qkv.img_range)
     # the pass is layer 0 of a stack, so guided_layers gates it like run_stack does
     guided = apply_dcag(qkv, cfg) if cfg.applies_to(0) else qkv
-    out, weights_tensor = joint_attention(guided, return_weights=True)
+    out = joint_attention(guided)
     i_s, i_e = qkv.img_range
     s, h, dh = qkv.q.shape
 
@@ -334,12 +333,12 @@ def _cmd_attend(args) -> int:
         return block.reshape(block.shape[0], h * dh)
 
     artifacts = {
-        "k_img_pre.csv": _matrix_csv(flat(qkv.k[i_s:i_e])),
-        "k_img_post.csv": _matrix_csv(flat(guided.k[i_s:i_e])),
-        "v_img_pre.csv": _matrix_csv(flat(qkv.v[i_s:i_e])),
-        "v_img_post.csv": _matrix_csv(flat(guided.v[i_s:i_e])),
-        "attention.csv": _matrix_csv(weights_tensor.reshape(h * s, s)),
-        "output.csv": _matrix_csv(np.concatenate([out.txt, out.img], axis=0)),
+        "k_img_pre.csv": flat(qkv.k[i_s:i_e]),
+        "k_img_post.csv": flat(guided.k[i_s:i_e]),
+        "v_img_pre.csv": flat(qkv.v[i_s:i_e]),
+        "v_img_post.csv": flat(guided.v[i_s:i_e]),
+        "attention.csv": attention_weights(guided).reshape(h * s, s),
+        "output.csv": np.concatenate([out.txt, out.img], axis=0),
     }
     checks = None
     if args.check:

@@ -159,10 +159,9 @@ class GuidanceConfig:
         object.__setattr__(self, "guided_layers", layers)
 
     @classmethod
-    def identity(cls, token_range, guided_layers=()) -> "GuidanceConfig":
+    def identity(cls, token_range) -> "GuidanceConfig":
         """The configuration under which guidance is a bitwise no-op."""
-        return cls(token_range=token_range, delta_k=1.0, delta_v=1.0,
-                   lambda_k=1.0, lambda_v=1.0, guided_layers=guided_layers)
+        return cls(token_range=token_range, delta_k=1.0, delta_v=1.0)
 
     def applies_to(self, layer: int) -> bool:
         return not self.guided_layers or int(layer) in self.guided_layers
@@ -198,18 +197,16 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
 
 
 def guided_attention(batch: StreamBatch, weights: LayerWeights,
-                     cfg: GuidanceConfig | None = None,
-                     rope_base: float = 10000.0,
-                     return_weights: bool = False):
+                     cfg: GuidanceConfig | None = None) -> StreamBatch:
     """One full layer forward: project, guide (when cfg is given), attend.
 
     Layer gating via cfg.guided_layers is the stack runner's job; a config
     passed here is always applied.
     """
-    qkv = project_qkv(batch, weights, rope_base)
+    qkv = project_qkv(batch, weights)
     if cfg is not None:
         qkv = apply_dcag(qkv, cfg)
-    return joint_attention(qkv, return_weights=return_weights)
+    return joint_attention(qkv)
 
 
 # --- plain-text key-value config documents ---------------------------------

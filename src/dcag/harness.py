@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (DEFAULT_ROPE_BASE, JointQKV, LayerWeights, StreamBatch, _attend,
-                        _project, _rope_table, _stacked)
+from .attention import (JointQKV, LayerWeights, StreamBatch, _attend, _project, _rope_table,
+                        _stacked)
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _check_range, _guide
 from .metrics import mse, psnr, ssim
@@ -110,34 +110,32 @@ def seeded_batch(seed: int, *, txt_tokens: int, img_tokens: int, dim: int) -> St
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = None,
-              *, steps: int | None = None, tap=None) -> np.ndarray:
+              *, tap=None) -> np.ndarray:
     """Iterate the denoising loop and return the final image block (S_i, D).
 
-    Each step adds the step embedding to the image tokens, then runs every
-    layer (guided where cfg applies) with residual connections. When given,
-    tap(layer, step, qkv) observes each layer's JointQKV before guidance.
+    Each of stack.step_count steps adds the step embedding to the image
+    tokens, then runs every layer (guided where cfg applies) with residual
+    connections. When given, tap(layer, step, qkv) observes each layer's
+    JointQKV before guidance.
     Arguments are validated once on entry and the result once on return;
     in between, the attention and guidance kernels run on reused buffers,
     attention on one (S, S) weights buffer shared by every head.
     """
     if batch.dim != stack.dim:
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
-    steps = stack.step_count if steps is None else int(steps)
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
     if cfg is not None:
         _check_range(cfg, (s_t, s))
     positions = np.arange(s, dtype=np.float64)
-    plan = [(w.heads, *_stacked(w), *_rope_table(positions, w.head_dim, DEFAULT_ROPE_BASE))
+    plan = [(w.heads, *_stacked(w), *_rope_table(positions, w.head_dim))
             for w in stack.layers]
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
     txt, img = state[:s_t], state[s_t:]
     proj = np.empty((s, 3 * stack.dim))
     attn = np.empty((s, stack.dim))
     weights = np.empty((s, s))  # every head of every layer reuses it
-    for t in range(steps):
+    for t in range(stack.step_count):
         img += stack.step_embedding(t)
         for layer, (h, w_txt, w_img, cos, sin) in enumerate(plan):
             q, k, v = _project(txt, img, w_txt, w_img, h, cos, sin, proj)
@@ -191,14 +189,13 @@ class SweepRecord:
 class SweepResult:
     """Fidelity metrics over the Cartesian (delta_k, delta_v) grid.
 
-    records are row-major (delta_k outer, delta_v inner); reference is the
-    rendered identity-config output the metrics were measured against.
+    records are row-major (delta_k outer, delta_v inner), each measured
+    against the rendered identity-config output.
     """
 
     dk_values: tuple[float, ...]
     dv_values: tuple[float, ...]
     records: list[SweepRecord]
-    reference: np.ndarray
 
     def surface(self, metric: str) -> np.ndarray:
         """One metric as an (n_dk, n_dv) grid over the swept values."""
@@ -239,8 +236,7 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
                 psnr=psnr(image, reference),
                 ssim=ssim(image, reference),
             ))
-    return SweepResult(dk_values=tuple(dks), dv_values=tuple(dvs),
-                       records=records, reference=reference)
+    return SweepResult(dk_values=tuple(dks), dv_values=tuple(dvs), records=records)
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -28,12 +28,11 @@ __all__ = [
 ]
 
 
-def ratio(block, per_head: bool = False) -> float:
+def ratio(block) -> float:
     """Delta-to-bias ratio of an (S_i, H, d_h) block.
 
-    Token vectors are flattened across heads by default, matching a
-    whole-token reading of the norms; per_head=True instead averages the
-    per-head ratios. bias and delta are those guidance rescales.
+    Token vectors are flattened across heads, a whole-token reading of the
+    norms. bias and delta are those guidance rescales.
     """
     block = as_tensor(block, "block")
     if block.ndim != 3:
@@ -42,12 +41,6 @@ def ratio(block, per_head: bool = False) -> float:
     if count == 0:
         raise ValueError("ratio: empty token range")
     bias, delta = _decompose(block)[:2]
-    if per_head:
-        bias_norms = np.sqrt(np.sum(bias * bias, axis=2)).ravel()
-        if np.any(bias_norms == 0.0):
-            raise DegenerateInputError("ratio undefined: a head has a zero-norm bias")
-        delta_norms = np.sqrt(np.sum(delta * delta, axis=2))
-        return float(np.mean(delta_norms.mean(axis=0) / bias_norms))
     bias_norm = float(np.sqrt(np.sum(bias * bias)))
     if bias_norm == 0.0:
         raise DegenerateInputError("ratio undefined for a zero-norm bias")
@@ -72,31 +65,18 @@ class RatioProfile:
         if np.any(self.ratios < 0.0):
             raise ValueError("ratios must be non-negative")
 
-    @property
-    def layer_count(self) -> int:
-        return self.ratios.shape[0]
 
-    @property
-    def step_count(self) -> int:
-        return self.ratios.shape[1]
-
-
-def profile_stack(stack: ToyStack, batch,
-                  steps: int | None = None) -> tuple[RatioProfile, RatioProfile]:
+def profile_stack(stack: ToyStack, batch) -> tuple[RatioProfile, RatioProfile]:
     """Run the stack unguided and record K and V ratios at every (layer, step)."""
-    steps = stack.step_count if steps is None else int(steps)
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
-    layer_count = len(stack.layers)
-    ratios_k = np.zeros((layer_count, steps))
-    ratios_v = np.zeros((layer_count, steps))
+    ratios_k = np.zeros((len(stack.layers), stack.step_count))
+    ratios_v = np.zeros((len(stack.layers), stack.step_count))
 
     def tap(layer, step, qkv):
         i_s, i_e = qkv.img_range
         ratios_k[layer, step] = ratio(qkv.k[i_s:i_e])
         ratios_v[layer, step] = ratio(qkv.v[i_s:i_e])
 
-    run_stack(stack, batch, cfg=None, steps=steps, tap=tap)
+    run_stack(stack, batch, tap=tap)
     return RatioProfile("K", ratios_k), RatioProfile("V", ratios_v)
 
 

@@ -178,7 +178,7 @@ def test_c07_attention_oracle_equivalence():
         s = int(rng.integers(8, 65))
         i_s = int(rng.integers(1, s))
         qkv = random_qkv(rng, s, int(h), int(dh), i_s)
-        out, weights = joint_attention(qkv, return_weights=True)
+        out, weights = joint_attention(qkv), attention_weights(qkv)
         merged = np.concatenate([out.txt, out.img])
         ref_merged, ref_weights = naive_attention(qkv.q, qkv.k, qkv.v)
         assert float(np.max(np.abs(merged - ref_merged))) <= 1e-10

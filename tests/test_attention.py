@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -15,6 +14,7 @@ from dcag import (
     project_qkv,
     rope,
 )
+from conftest import child_env
 from oracles import naive_attention
 
 
@@ -57,6 +57,11 @@ class TestTypes:
         with pytest.raises(ShapeError, match="divisible"):
             LayerWeights(*mats, heads=4)
 
+    def test_layer_weights_odd_head_dimension(self, rng):
+        mats = rng.standard_normal((6, 12, 12))
+        with pytest.raises(ShapeError, match="head dimension 3"):
+            LayerWeights(*mats, heads=4)
+
     def test_joint_qkv_range_must_close_the_sequence(self, rng):
         with pytest.raises(ShapeError, match="image range"):
             JointQKV(
@@ -89,7 +94,7 @@ class TestRope:
     def test_unit_angle_for_first_pair(self):
         # theta_0 = base**0 = 1, so position 1 rotates pair 0 by one radian
         x = np.array([[[2.0, 0.5]]])
-        out = rope(x, [1], base=10000.0)
+        out = rope(x, [1])
         c, s = np.cos(1.0), np.sin(1.0)
         expected = np.array([[[2.0 * c - 0.5 * s, 2.0 * s + 0.5 * c]]])
         assert np.allclose(out, expected, rtol=1e-15, atol=0)
@@ -143,7 +148,7 @@ class TestProjectQKV:
 class TestJointAttention:
     def test_two_token_weights_are_row_stochastic(self, rng):
         qkv = make_qkv(rng, 1, 1, 1, 4)
-        out, weights = joint_attention(qkv, return_weights=True)
+        out, weights = joint_attention(qkv), attention_weights(qkv)
         assert weights.shape == (1, 2, 2)
         assert np.max(np.abs(weights.sum(axis=2) - 1.0)) <= 1e-12
         assert np.all(weights >= 0.0)
@@ -168,7 +173,7 @@ class TestJointAttention:
     def test_matches_naive_loop_oracle(self, rng):
         for s_t, s_i, h, dh in ((2, 6, 1, 8), (8, 24, 4, 16), (16, 48, 4, 16)):
             qkv = make_qkv(rng, s_t, s_i, h, dh)
-            out, weights = joint_attention(qkv, return_weights=True)
+            out, weights = joint_attention(qkv), attention_weights(qkv)
             merged = np.concatenate([out.txt, out.img])
             ref_merged, ref_weights = naive_attention(qkv.q, qkv.k, qkv.v)
             assert np.max(np.abs(merged - ref_merged)) <= 1e-10
@@ -228,6 +233,6 @@ for s in (408, 579, 1032):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_per_head_kernel_equals_batched_matmul_bitwise(threads):
     result = subprocess.run([sys.executable, "-c", PER_HEAD_VS_BATCHED],
-                            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                            env=child_env(OPENBLAS_NUM_THREADS=threads),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

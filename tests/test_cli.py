@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dcag import (GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, save_config,
                   seeded_batch)
 from dcag.cli import _check_logit_scaling, main
+from conftest import child_env
 
 FAST_PROFILE = ["--layers", "2", "--steps", "2", "--dim", "16", "--heads", "2",
                 "--txt-tokens", "4", "--img-tokens", "16"]
@@ -270,15 +272,23 @@ class TestAttendCommand:
         # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
         config = tmp_path / "guidance.cfg"
         config.write_text("delta_k = 1.1\ndelta_v = 1.15\n")
-        code = main(["attend", "--check", "--img-tokens", "576", "--config", str(config),
-                     "--out", str(tmp_path / "out")])
+        tracemalloc.start()
+        try:
+            code = main(["attend", "--check", "--img-tokens", "576", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 0
         assert "check logit_scaling: PASS" in capsys.readouterr().out
+        # the artifacts are streamed to disk: formatting holds no whole CSV in memory
+        s, h = 8 + 576, 4
+        assert peak < 3 * h * s * s * 8
 
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "dcag.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 class TestErrors:
@@ -308,6 +318,12 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error:")
         assert result.stdout == ""
 
+    def test_odd_head_dimension_is_one_line(self, tmp_path, capsys):
+        code = main(["profile", "--dim", "12", "--heads", "4", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "head dimension" in err[0]
+
     @pytest.mark.parametrize("flag, start", [("--help", "usage: dcag"), ("--version", "dcag ")])
     def test_help_and_version_still_print_and_exit_0(self, flag, start):
         result = run_cli(flag)
@@ -331,6 +347,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "dcag.cli", "profile", *FAST_PROFILE, "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "mean K-ratio" in result.stdout

@@ -12,8 +12,7 @@ def surface_result(dk_values, dv_values, fn):
         for dk in dk_values
         for dv in dv_values
     ]
-    return SweepResult(tuple(dk_values), tuple(dv_values), records,
-                       reference=np.zeros((11, 11)))
+    return SweepResult(tuple(dk_values), tuple(dv_values), records)
 
 
 class TestMarchingSquares:

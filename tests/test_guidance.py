@@ -232,13 +232,12 @@ class TestGuidedAttention:
     def test_value_channel_leaves_weights_bitwise(self, rng):
         batch = make_batch(rng)
         w = make_weights(rng)
-        _, base_weights = guided_attention(
-            batch, w, GuidanceConfig((4, 16), delta_k=1.0, delta_v=1.0), return_weights=True
-        )
+        qkv = project_qkv(batch, w)
+        base_weights = attention_weights(
+            apply_dcag(qkv, GuidanceConfig((4, 16), delta_k=1.0, delta_v=1.0)))
         for dv in (0.5, 1.3, 2.0, 3.0):
-            _, weights = guided_attention(
-                batch, w, GuidanceConfig((4, 16), delta_k=1.0, delta_v=dv), return_weights=True
-            )
+            weights = attention_weights(
+                apply_dcag(qkv, GuidanceConfig((4, 16), delta_k=1.0, delta_v=dv)))
             assert np.array_equal(weights, base_weights)
 
     def test_key_channel_leaves_v_bitwise(self, rng):

@@ -44,13 +44,6 @@ class TestRatio:
             rotated[:, head, :] = block[:, head, :] @ q
         assert abs(ratio(rotated) - ratio(block)) <= 1e-10 * ratio(block)
 
-    def test_per_head_variant(self, rng):
-        block = rng.standard_normal((16, 4, 8))
-        flat = ratio(block)
-        per_head = ratio(block, per_head=True)
-        assert per_head > 0.0
-        assert per_head != flat  # distinct reading of the same block
-
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     def test_matches_plain_formula_bitwise(self, rng, offset):
         # the reference is the plain mean/deviation formula; offset 1e8 over
@@ -62,10 +55,6 @@ class TestRatio:
             flat = delta.reshape(shape[0], -1)
             flat_norms = np.sqrt(np.sum(flat * flat, axis=1, keepdims=True))
             assert ratio(block) == float(flat_norms.mean() / np.sqrt(np.sum(bias * bias)))
-            head_norms = np.sqrt(np.sum(delta * delta, axis=2))
-            bias_norms = np.sqrt(np.sum(bias * bias, axis=2)).ravel()
-            expected = float(np.mean(head_norms.mean(axis=0) / bias_norms))
-            assert ratio(block, per_head=True) == expected
 
     def test_zero_bias_is_degenerate(self):
         block = np.array([[[1.0, 0.0]], [[-1.0, 0.0]]])
@@ -145,12 +134,6 @@ class TestProfileStack:
         run_stack(stack, batch, None, tap=recompute)
         assert np.max(np.abs(pk.ratios - expected_k)) <= 1e-12
         assert np.max(np.abs(pv.ratios - expected_v)) <= 1e-12
-
-    def test_steps_override(self):
-        stack = ToyStack.seeded(5, layers=2, steps=4, dim=8, heads=2)
-        batch = seeded_batch(5, txt_tokens=2, img_tokens=4, dim=8)
-        pk, _ = profile_stack(stack, batch, steps=2)
-        assert pk.ratios.shape == (2, 2)
 
 
 class TestArtifacts:
