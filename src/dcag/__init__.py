@@ -26,12 +26,10 @@ from .guidance import (
     GuidanceConfig,
     apply_dcag,
     decompose,
-    format_config,
     guided_attention,
     load_config,
     parse_config,
     rescale,
-    save_config,
 )
 from .harness import (
     SweepRecord,
@@ -72,9 +70,7 @@ __all__ = [
     "apply_dcag",
     "guided_attention",
     "parse_config",
-    "format_config",
     "load_config",
-    "save_config",
     "DEFAULT_DELTA_K",
     "DEFAULT_DELTA_V",
     "RatioProfile",

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .attention import _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, _check_range, apply_dcag, load_config
 from .harness import ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
@@ -36,16 +37,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
     return value
 
 
@@ -84,7 +75,7 @@ def _add_dim_flags(parser, *, img_tokens_default: int, with_stack: bool = True):
                             help="attention layers in the toy stack (default 8)")
         parser.add_argument("--steps", type=_positive_int, default=6,
                             help="denoising steps (default 6)")
-    parser.add_argument("--seed", type=_seed, default=42,
+    parser.add_argument("--seed", type=int, default=42,
                         help="master seed for weights, step embeddings, and inputs (default 42)")
     parser.add_argument("--heads", type=_positive_int, default=4,
                         help="attention heads (default 4)")
@@ -124,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="delta_k range (default 1.0:1.2:5)")
     swp.add_argument("--dv", type=_value_range, default=(1.0, 1.2, 5), metavar="START:STOP:COUNT",
                      help="delta_v range (default 1.0:1.2:5)")
-    swp.add_argument("--contour", action="append", type=_contour_arg, metavar="METRIC=LEVEL",
+    swp.add_argument("--contour", action="append", type=_contour_arg, default=[],
+                     metavar="METRIC=LEVEL",
                      help="also extract iso-level polylines (repeatable)")
     swp.set_defaults(func=_cmd_sweep)
 
@@ -147,17 +139,23 @@ def _write_artifacts(outdir: Path, artifacts: dict) -> None:
     for name, content in artifacts.items():
         with open(outdir / name, "w", encoding="utf-8", newline="") as handle:
             if isinstance(content, np.ndarray):
-                np.savetxt(handle, content, fmt="%.17g", delimiter=",")
+                # a row of Python floats formats faster than np.savetxt's numpy
+                # scalars; converting the whole matrix would hold every float at once
+                fmt = ",".join(["%.17g"] * content.shape[1]) + "\n"
+                for row in content:
+                    handle.write(fmt % tuple(row.tolist()))
             else:
                 handle.write(content)
 
 
-def _write_manifest(outdir: Path, command: str, parameters: dict, artifacts,
-                    summary=None) -> None:
+def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> None:
+    """The manifest records every flag except --out; `resolved` overrides a flag's raw value."""
+    parameters = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "func", "out")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
-        "parameters": parameters,
+        "parameters": {**parameters, **resolved},
         "artifacts": sorted(artifacts),
     }
     if summary is not None:
@@ -165,25 +163,6 @@ def _write_manifest(outdir: Path, command: str, parameters: dict, artifacts,
     with open(outdir / "manifest.json", "w", encoding="utf-8", newline="") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _dim_parameters(args, with_stack: bool = True) -> dict:
-    parameters = {
-        "seed": args.seed,
-        "heads": args.heads,
-        "dim": args.dim,
-        "txt_tokens": args.txt_tokens,
-        "img_tokens": args.img_tokens,
-    }
-    if with_stack:
-        parameters["layers"] = args.layers
-        parameters["steps"] = args.steps
-    return parameters
-
-
-def _validate_dims(parser_error, args) -> None:
-    if args.dim % args.heads != 0:
-        parser_error(f"--dim {args.dim} is not divisible by --heads {args.heads}")
 
 
 def _cmd_profile(args) -> int:
@@ -207,9 +186,7 @@ def _cmd_profile(args) -> int:
     }
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
-    parameters = _dim_parameters(args)
-    parameters["heatmap"] = bool(args.heatmap)
-    _write_manifest(outdir, "profile", parameters, artifacts, summary)
+    _write_manifest(outdir, args, artifacts, summary)
     print(f"mean K-ratio: {_fmt(summary['mean_ratio_k'])}")
     print(f"mean V-ratio: {_fmt(summary['mean_ratio_v'])}")
     print("pearson r:    " + ("undefined" if correlation is None else _fmt(correlation)))
@@ -252,7 +229,7 @@ def _cmd_sweep(args) -> int:
                             dim=args.dim, heads=args.heads)
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
-    contours = _contour_files(args.contour or [])
+    contours = _contour_files(args.contour)
     dk_values = _grid_values("--dk", args.dk)
     dv_values = _grid_values("--dv", args.dv)
     result = sweep(stack, batch, dk_values, dv_values)
@@ -261,12 +238,7 @@ def _cmd_sweep(args) -> int:
         artifacts[name] = contour_text(iso_contour(result, metric, level))
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
-    parameters = _dim_parameters(args)
-    parameters["dk"] = list(args.dk)
-    parameters["dv"] = list(args.dv)
-    parameters["contour"] = [[metric, level] for metric, level in args.contour or []]
-    _write_manifest(outdir, "sweep", parameters, artifacts,
-                    summary={"grid_points": len(result.records)})
+    _write_manifest(outdir, args, artifacts, summary={"grid_points": len(result.records)})
     print(f"{len(result.records)} grid points written to sweep.csv")
     return 0
 
@@ -350,18 +322,9 @@ def _cmd_attend(args) -> int:
         }
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
-    parameters = _dim_parameters(args, with_stack=False)
-    parameters["config"] = {
-        "delta_k": cfg.delta_k,
-        "delta_v": cfg.delta_v,
-        "lambda_k": cfg.lambda_k,
-        "lambda_v": cfg.lambda_v,
-        "token_range": list(cfg.token_range),
-        "guided_layers": sorted(cfg.guided_layers),
-    }
-    parameters["check"] = bool(args.check)
     summary = {"checks": checks} if checks is not None else None
-    _write_manifest(outdir, "attend", parameters, artifacts, summary)
+    _write_manifest(outdir, args, artifacts, summary,
+                    config={**asdict(cfg), "guided_layers": sorted(cfg.guided_layers)})
     print(f"guided pass complete: {len(artifacts)} artifacts in {outdir}")
     if checks is not None:
         for name, passed in checks.items():
@@ -374,11 +337,9 @@ def _cmd_attend(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "dim"):
-        _validate_dims(parser.error, args)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, DegenerateInputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

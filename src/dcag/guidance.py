@@ -34,9 +34,7 @@ __all__ = [
     "apply_dcag",
     "guided_attention",
     "parse_config",
-    "format_config",
     "load_config",
-    "save_config",
     "DEFAULT_DELTA_K",
     "DEFAULT_DELTA_V",
 ]
@@ -214,20 +212,6 @@ def guided_attention(batch: StreamBatch, weights: LayerWeights,
 _CONFIG_KEYS = ("delta_k", "delta_v", "lambda_k", "lambda_v", "token_range", "guided_layers")
 
 
-def format_config(cfg: GuidanceConfig) -> str:
-    """Render a config as the plain-text key-value document."""
-    layers = "all" if not cfg.guided_layers else ",".join(str(i) for i in sorted(cfg.guided_layers))
-    lines = [
-        f"delta_k = {cfg.delta_k:.17g}",
-        f"delta_v = {cfg.delta_v:.17g}",
-        f"lambda_k = {cfg.lambda_k:.17g}",
-        f"lambda_v = {cfg.lambda_v:.17g}",
-        f"token_range = {cfg.token_range[0]}:{cfg.token_range[1]}",
-        f"guided_layers = {layers}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(text: str, default_token_range=None) -> GuidanceConfig:
     """Parse a key-value config document; '#' starts a comment.
 
@@ -286,8 +270,3 @@ def load_config(path, default_token_range=None) -> GuidanceConfig:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     return parse_config(text, default_token_range=default_token_range)
-
-
-def save_config(cfg: GuidanceConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(format_config(cfg))

@@ -81,6 +81,8 @@ class ToyStack:
         seed = _check_seed(seed)
         if layers < 0:
             raise ValueError(f"layer count must be non-negative, got {layers}")
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
         std = 1.0 / math.sqrt(dim)
         built = []
         for index in range(layers):

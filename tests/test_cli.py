@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcag import (GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, save_config,
-                  seeded_batch)
+from dcag import GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, seeded_batch
 from dcag.cli import _check_logit_scaling, main
 from conftest import child_env
 
@@ -143,6 +142,11 @@ class TestSweepCommand:
         assert "contour_ssim_0.999999.txt" in err[0]
         assert not any(tmp_path.iterdir())
 
+    def test_manifest_without_contour_records_empty_list(self, tmp_path):
+        assert main([*fast_argv("sweep", tmp_path), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"]["contour"] == []
+
     def test_non_square_img_tokens_rejected(self, tmp_path, capsys):
         code = main(["sweep", *FAST_SWEEP[:-1], "120", "--out", str(tmp_path)])
         assert code == 2
@@ -155,13 +159,13 @@ class TestSweepCommand:
 
 
 class TestAttendCommand:
-    def write_config(self, tmp_path, **kwargs):
+    def write_config(self, tmp_path, text=""):
         path = tmp_path / "guidance.cfg"
-        save_config(GuidanceConfig(token_range=(4, 16), **kwargs), path)
+        path.write_text("token_range = 4:16\n" + text)
         return str(path)
 
     def test_identity_config_with_checks(self, tmp_path, capsys):
-        config = self.write_config(tmp_path, delta_k=1.0, delta_v=1.0)
+        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
         code = main(["attend", *FAST_ATTEND, "--config", config, "--check",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -170,7 +174,7 @@ class TestAttendCommand:
             assert f"check {name}: PASS" in out
 
     def test_recommended_config_writes_artifacts(self, tmp_path):
-        config = self.write_config(tmp_path, delta_k=1.10, delta_v=1.15)
+        config = self.write_config(tmp_path, "delta_k = 1.10\ndelta_v = 1.15\n")
         code = main(["attend", *FAST_ATTEND, "--config", config, "--out", str(tmp_path)])
         assert code == 0
         for name in ("k_img_pre.csv", "k_img_post.csv", "v_img_pre.csv",
@@ -182,7 +186,7 @@ class TestAttendCommand:
         assert not np.array_equal(pre, post)
 
     def test_identity_dump_roundtrips_blocks(self, tmp_path):
-        config = self.write_config(tmp_path, delta_k=1.0, delta_v=1.0)
+        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
         main(["attend", *FAST_ATTEND, "--config", config, "--out", str(tmp_path)])
         pre = (tmp_path / "k_img_pre.csv").read_bytes()
         post = (tmp_path / "k_img_post.csv").read_bytes()
@@ -203,16 +207,17 @@ class TestAttendCommand:
 
     def test_mismatched_token_range_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        save_config(GuidanceConfig(token_range=(2, 9)), path)
+        path.write_text("token_range = 2:9\n")
         code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "token_range" in capsys.readouterr().err
 
     def test_guided_layers_without_layer_0_leave_the_pass_unguided(self, tmp_path):
         subset, identity = tmp_path / "subset", tmp_path / "identity"
-        config = self.write_config(tmp_path, delta_k=1.2, delta_v=0.9, guided_layers=(1, 3))
+        config = self.write_config(tmp_path, "delta_k = 1.2\ndelta_v = 0.9\n"
+                                             "guided_layers = 1,3\n")
         assert main(["attend", *FAST_ATTEND, "--config", config, "--out", str(subset)]) == 0
-        config = self.write_config(tmp_path, delta_k=1.0, delta_v=1.0)
+        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
         assert main(["attend", *FAST_ATTEND, "--config", config, "--out", str(identity)]) == 0
         for name in ("k_img_post.csv", "v_img_post.csv", "attention.csv", "output.csv"):
             assert read(subset / name) == read(identity / name)
@@ -223,7 +228,7 @@ class TestAttendCommand:
     def test_mismatched_token_range_is_config_error_when_layer_0_is_unguided(
             self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        save_config(GuidanceConfig(token_range=(2, 9), guided_layers=(1,)), path)
+        path.write_text("token_range = 2:9\nguided_layers = 1\n")
         code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "token_range" in capsys.readouterr().err
@@ -259,7 +264,7 @@ class TestAttendCommand:
             return JointQKV(q=guided.q, k=guided.k, v=v, img_range=guided.img_range)
 
         monkeypatch.setattr("dcag.cli.apply_dcag", perturbed)
-        config = self.write_config(tmp_path, delta_k=1.0, delta_v=1.0)
+        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
         code = main(["attend", *FAST_ATTEND, "--config", config, "--check",
                      "--out", str(tmp_path)])
         assert code == 1
@@ -284,6 +289,31 @@ class TestAttendCommand:
         # the artifacts are streamed to disk: formatting holds no whole CSV in memory
         s, h = 8 + 576, 4
         assert peak < 3 * h * s * s * 8
+
+
+def fast_argv(command, tmp_path):
+    """A quick invocation of `command` without --out; attend gets a config file."""
+    if command == "attend":
+        config = tmp_path / "guidance.cfg"
+        config.write_text("delta_k = 1.1\n")
+        return ["attend", *FAST_ATTEND, "--config", str(config)]
+    if command == "sweep":
+        return ["sweep", *FAST_SWEEP, "--dk", "1.0:1.1:2", "--dv", "1.0:1.1:2"]
+    return ["profile", *FAST_PROFILE]
+
+
+DIM_FLAGS = {"--seed", "--heads", "--dim", "--txt-tokens", "--img-tokens"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("profile", DIM_FLAGS | {"--layers", "--steps", "--heatmap"}),
+    ("sweep", DIM_FLAGS | {"--layers", "--steps", "--dk", "--dv", "--contour"}),
+    ("attend", DIM_FLAGS | {"--config", "--check"}),
+])
+def test_manifest_records_every_flag_but_out(tmp_path, command, flags):
+    assert main([*fast_argv(command, tmp_path), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {"--" + key.replace("_", "-") for key in manifest["parameters"]} == flags
 
 
 def run_cli(*argv):
@@ -317,6 +347,15 @@ class TestErrors:
         err = result.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["profile", "sweep", "attend"])
+    def test_negative_seed_is_one_line(self, tmp_path, command):
+        out = tmp_path / "out"
+        result = run_cli(*fast_argv(command, tmp_path), "--seed", "-1", "--out", str(out))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+        assert result.stdout == "" and not out.exists()
 
     def test_odd_head_dimension_is_one_line(self, tmp_path, capsys):
         code = main(["profile", "--dim", "12", "--heads", "4", "--out", str(tmp_path)])

@@ -63,6 +63,11 @@ class TestToyStack:
         with pytest.raises(ValueError, match="non-negative"):
             ToyStack.seeded(-1, layers=1, steps=1, dim=8, heads=2)
 
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_zero_dim_rejected(self, layers):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            ToyStack.seeded(42, layers=layers, steps=1, dim=0, heads=1)
+
 
 class TestRunStack:
     def test_identity_config_equals_no_guidance_bitwise(self, stack, batch):
