@@ -23,11 +23,9 @@ from .attention import _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, _check_range, apply_dcag, load_config
-from .harness import ToyStack, run_stack, seeded_batch, sweep, sweep_csv
+from .harness import _METRIC_NAMES, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
-
-_METRICS = ("mse", "psnr", "ssim")
 
 
 def _positive_int(text: str) -> int:
@@ -61,8 +59,8 @@ def _contour_arg(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected metric=level, got {text!r}")
     metric, level = text.split("=", 1)
     metric = metric.strip()
-    if metric not in _METRICS:
-        raise argparse.ArgumentTypeError(f"unknown metric {metric!r}, expected one of {_METRICS}")
+    if metric not in _METRIC_NAMES:
+        raise argparse.ArgumentTypeError(f"unknown metric {metric!r}, expected one of {_METRIC_NAMES}")
     try:
         return metric, float(level)
     except ValueError:

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["ShapeError", "ConfigError", "DegenerateInputError"]
+
 
 class ShapeError(ValueError):
     """Operand shapes are inconsistent with an operation's contract."""

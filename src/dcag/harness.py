@@ -83,6 +83,8 @@ class ToyStack:
             raise ValueError(f"layer count must be non-negative, got {layers}")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
+        if heads < 1:
+            raise ValueError(f"heads must be positive, got {heads}")
         std = 1.0 / math.sqrt(dim)
         built = []
         for index in range(layers):

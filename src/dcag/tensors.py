@@ -13,12 +13,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = [
-    "as_tensor",
-    "check_finite",
-    "matmul",
-    "softmax_rows",
-]
+__all__ = ["matmul", "softmax_rows"]
 
 
 def check_finite(arr: np.ndarray, name: str) -> np.ndarray:

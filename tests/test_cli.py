@@ -55,6 +55,13 @@ class TestProfileCommand:
         assert "ratios.csv" in manifest["artifacts"]
         assert set(manifest["summary"]) == {"mean_ratio_k", "mean_ratio_v", "pearson_r"}
 
+    def test_single_point_profile_has_undefined_pearson(self, tmp_path, capsys):
+        argv = ["profile", *FAST_PROFILE, "--layers", "1", "--steps", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "pearson r:    undefined" in capsys.readouterr().out.splitlines()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["summary"]["pearson_r"] is None
+
     def test_zero_layers_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--layers", "0", "--out", str(tmp_path)])
@@ -340,7 +347,13 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [["sweep", "--dk", "1:2"],
                                       ["profile", "--dim", "10", "--heads", "4"],
-                                      []])
+                                      [],
+                                      ["profile", "--layers", "x"],
+                                      ["sweep", "--dk", "1:2:0"],
+                                      ["sweep", "--dk", "nan:1:3"],
+                                      ["sweep", "--contour", "ssim"],
+                                      ["sweep", "--contour", "sharp=1"],
+                                      ["sweep", "--contour", "ssim=abc"]])
     def test_usage_error_is_one_line(self, argv):
         result = run_cli(*argv)
         assert result.returncode == 2

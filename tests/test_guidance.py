@@ -163,6 +163,19 @@ class TestGuidanceConfig:
             parse_config("delta_k = 1.1\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("delta_k = 1\ndelta_k = 2\n", default_token_range=(0, 4))
+        with pytest.raises(ConfigError, match="expected 'key = value'"):
+            parse_config("delta_k 1.1\n", default_token_range=(0, 4))
+        with pytest.raises(ConfigError, match="guided_layers must be 'all'"):
+            parse_config("guided_layers = 1,x\n", default_token_range=(0, 4))
+        with pytest.raises(ConfigError, match="delta_k must be a number"):
+            parse_config("delta_k = abc\n", default_token_range=(0, 4))
+        with pytest.raises(ConfigError, match="non-negative"):
+            parse_config("guided_layers = -1\n", default_token_range=(0, 4))
+
+    @pytest.mark.parametrize("value", ["all", ""])
+    def test_parse_all_layers(self, value):
+        cfg = parse_config(f"guided_layers = {value}\n", default_token_range=(0, 4))
+        assert cfg.guided_layers == frozenset()
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "guidance.cfg"

@@ -68,6 +68,24 @@ class TestToyStack:
         with pytest.raises(ValueError, match="dim must be positive"):
             ToyStack.seeded(42, layers=layers, steps=1, dim=0, heads=1)
 
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_zero_heads_rejected(self, layers):
+        with pytest.raises(ValueError, match="heads must be positive"):
+            ToyStack.seeded(42, layers=layers, steps=1, dim=8, heads=0)
+
+    def test_negative_layer_count_rejected(self):
+        with pytest.raises(ValueError, match="layer count must be non-negative"):
+            ToyStack.seeded(42, layers=-1, steps=1, dim=8, heads=2)
+
+    def test_constructor_validates_dims_and_steps(self):
+        layer = ToyStack.seeded(42, layers=1, steps=1, dim=8, heads=2).layers[0]
+        with pytest.raises(ValueError, match="dim must be positive"):
+            ToyStack(layers=(), seed=1, dim=0, step_count=1)
+        with pytest.raises(ValueError, match="step_count must be positive"):
+            ToyStack(layers=(), seed=1, dim=8, step_count=0)
+        with pytest.raises(ShapeError, match="layer 0 has dim 8"):
+            ToyStack(layers=(layer,), seed=1, dim=16, step_count=1)
+
 
 class TestRunStack:
     def test_identity_config_equals_no_guidance_bitwise(self, stack, batch):
