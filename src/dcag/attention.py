@@ -14,7 +14,7 @@ stack loop in harness calls those kernels directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,12 +67,15 @@ class StreamBatch:
         return self.txt.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerWeights:
     """Per-stream projection matrices for one attention layer.
 
     All six matrices are (D, D); D splits evenly into `heads` heads of
     d_h = D / heads coordinates each, and d_h is even (RoPE rotates pairs).
+    Each stream's [Wq|Wk|Wv] is stored once, as the read-only (D, 3D)
+    txt_wqkv and img_wqkv; the six matrix fields are read-only views into them,
+    and the instance is frozen, so the two cannot diverge.
     """
 
     txt_wq: np.ndarray
@@ -82,24 +85,30 @@ class LayerWeights:
     img_wk: np.ndarray
     img_wv: np.ndarray
     heads: int
+    txt_wqkv: np.ndarray = field(init=False, repr=False)
+    img_wqkv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = ("txt_wq", "txt_wk", "txt_wv", "img_wq", "img_wk", "img_wv")
-        for name in names:
-            setattr(self, name, _frozen(getattr(self, name), name))
-        d = self.txt_wq.shape[0]
-        for name in names:
-            if getattr(self, name).shape != (d, d):
-                raise ShapeError(
-                    f"{name} must be ({d}, {d}), got {getattr(self, name).shape}"
-                )
+        mats = [check_finite(np.asarray(getattr(self, name), dtype=np.float64), name)
+                for name in names]
+        d = mats[0].shape[0]
+        for name, mat in zip(names, mats):
+            if mat.shape != (d, d):
+                raise ShapeError(f"{name} must be ({d}, {d}), got {mat.shape}")
         if self.heads < 1:
             raise ValueError(f"heads must be positive, got {self.heads}")
         if d % self.heads != 0:
             raise ShapeError(f"hidden dimension {d} is not divisible by {self.heads} heads")
-        if self.head_dim % 2 != 0:
-            raise ShapeError(f"head dimension {self.head_dim} (hidden dimension {d} / "
+        if (d // self.heads) % 2 != 0:
+            raise ShapeError(f"head dimension {d // self.heads} (hidden dimension {d} / "
                              f"{self.heads} heads) must be even for RoPE")
+        for stream, stream_mats in (("txt", mats[:3]), ("img", mats[3:])):
+            fused = np.concatenate(stream_mats, axis=1)
+            fused.flags.writeable = False
+            object.__setattr__(self, f"{stream}_wqkv", fused)
+            for j, part in enumerate(("wq", "wk", "wv")):
+                object.__setattr__(self, f"{stream}_{part}", fused[:, j * d:(j + 1) * d])
 
     @property
     def dim(self) -> int:
@@ -177,17 +186,11 @@ def rope(x, positions) -> np.ndarray:
     return check_finite(_rope(x.copy(), *_rope_table(pos, dh)), "rope output")
 
 
-def _stacked(weights: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
-    """The text and image [Wq|Wk|Wv] matrices, (D, 3D) each: one matmul per stream."""
-    return (np.concatenate([weights.txt_wq, weights.txt_wk, weights.txt_wv], axis=1),
-            np.concatenate([weights.img_wq, weights.img_wk, weights.img_wv], axis=1))
-
-
 def _project(txt, img, w_txt, w_img, heads: int, cos, sin, out: np.ndarray):
     """Q, K, V of the joint sequence as (S, H, d_h) views into out (S, 3D).
 
-    w_txt and w_img come from _stacked, cos and sin from _rope_table over
-    positions 0..S-1; RoPE is applied to Q and K.
+    w_txt and w_img are a LayerWeights' txt_wqkv and img_wqkv, cos and sin
+    come from _rope_table over positions 0..S-1; RoPE is applied to Q and K.
     """
     np.matmul(txt, w_txt, out=out[:txt.shape[0]])
     np.matmul(img, w_img, out=out[txt.shape[0]:])
@@ -210,8 +213,8 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
     cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim)
-    q, k, v = _project(batch.txt, batch.img, *_stacked(weights), weights.heads, cos, sin,
-                       np.empty((s, 3 * weights.dim)))
+    q, k, v = _project(batch.txt, batch.img, weights.txt_wqkv, weights.img_wqkv, weights.heads,
+                       cos, sin, np.empty((s, 3 * weights.dim)))
     return JointQKV(q=q, k=k, v=v, img_range=(s_t, s))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -163,7 +164,22 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
         handle.write("\n")
 
 
+def _check_memory(args, heads: int = 1) -> None:
+    """Refuse a run whose (heads, S, S) float64 attention weights exceed physical memory.
+
+    That is a command's one allocation that grows as S²; checking it before
+    anything is built turns an impossible shape into one error line.
+    """
+    s = args.txt_tokens + args.img_tokens
+    need = heads * s * s * 8
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ConfigError(f"{s} tokens need {need / 2**30:.1f} GiB of attention weights, "
+                          f"more than the {physical / 2**30:.1f} GiB of physical memory")
+
+
 def _cmd_profile(args) -> int:
+    _check_memory(args)
     stack = ToyStack.seeded(args.seed, layers=args.layers, steps=args.steps,
                             dim=args.dim, heads=args.heads)
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
@@ -215,6 +231,7 @@ def _grid_values(flag: str, value_range) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
+    _check_memory(args)
     side = math.isqrt(args.img_tokens)
     if side * side != args.img_tokens:
         raise ConfigError(f"--img-tokens {args.img_tokens} is not a perfect square")
@@ -285,6 +302,7 @@ def _check_value_affinity(qkv) -> bool:
 
 
 def _cmd_attend(args) -> int:
+    _check_memory(args, args.heads)
     token_range = (args.txt_tokens, args.txt_tokens + args.img_tokens)
     cfg = load_config(args.config, default_token_range=token_range)
     weights = ToyStack.seeded(args.seed, layers=1, steps=1,

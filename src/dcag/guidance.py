@@ -12,7 +12,9 @@ Gaussian-distributed element out of eight, which would break the exact
 identity and reconstruction guarantees this module advertises.
 
 The public functions are validating wrappers over the kernels _decompose,
-_rescale and _guide; the stack loop in harness calls _guide directly.
+_rescale and _guide; the stack loop in harness calls _guide directly, and
+profiling reads (bias, delta) from _bias_delta, the residual-free half of
+_decompose.
 """
 
 from __future__ import annotations
@@ -44,16 +46,20 @@ DEFAULT_DELTA_K = 1.10
 DEFAULT_DELTA_V = 1.15
 
 
-def _two_sum(a, b):
-    # Knuth's error-free transformation: s + err == a + b exactly.
+def _sum_error(a, b, s):
+    # Knuth's error-free transformation: for s = fl(a + b), s + err == a + b exactly.
     # err = (a - (s - bb)) + (b - bb), the same operations without temporaries
-    s = a + b
     bb = s - a
     err = s - bb
     np.subtract(a, err, out=err)
     np.subtract(b, bb, out=bb)
     err += bb
-    return s, err
+    return err
+
+
+def _two_sum(a, b):
+    s = a + b
+    return s, _sum_error(a, b, s)
 
 
 def _check_scale(value, name: str) -> float:
@@ -83,11 +89,17 @@ class BiasDelta:
         return rescale(self, 1.0, 1.0)
 
 
+def _bias_delta(block: np.ndarray):
+    """(bias, delta) of an (S_i, H, d_h) block: the per-head token mean and block - bias."""
+    bias = block.mean(axis=0, keepdims=True)
+    return bias, block - bias
+
+
 def _decompose(block: np.ndarray):
     """(bias, delta, delta_residual) of an (S_i, H, d_h) block."""
-    bias = block.mean(axis=0, keepdims=True)
-    delta, residual = _two_sum(block, -bias)
-    return bias, delta, residual
+    bias, delta = _bias_delta(block)
+    # IEEE subtraction is addition of the negation, so delta is fl(block + -bias)
+    return bias, delta, _sum_error(block, -bias, delta)
 
 
 def _rescale(bias, delta, residual, lam: float, delta_scale: float) -> np.ndarray:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (JointQKV, LayerWeights, StreamBatch, _attend, _project, _rope_table,
-                        _stacked)
+from .attention import LayerWeights, StreamBatch, _attend, _project, _rope_table
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _check_range, _guide
 from .metrics import mse, psnr, ssim
@@ -119,8 +118,10 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
 
     Each of stack.step_count steps adds the step embedding to the image
     tokens, then runs every layer (guided where cfg applies) with residual
-    connections. When given, tap(layer, step, qkv) observes each layer's
-    JointQKV before guidance.
+    connections. When given, tap(layer, step, q, k, v) observes each layer's
+    pre-guidance Q, K and V: read-only (S, H, d_h) views of the projection
+    buffer, whose image rows start at batch.txt.shape[0]. The views change
+    once the tap returns, so a tap copies what it keeps.
     Arguments are validated once on entry and the result once on return;
     in between, the attention and guidance kernels run on reused buffers,
     attention on one (S, S) weights buffer shared by every head.
@@ -132,19 +133,21 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     if cfg is not None:
         _check_range(cfg, (s_t, s))
     positions = np.arange(s, dtype=np.float64)
-    plan = [(w.heads, *_stacked(w), *_rope_table(positions, w.head_dim))
-            for w in stack.layers]
+    tables = {dh: _rope_table(positions, dh) for dh in {w.head_dim for w in stack.layers}}
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
     txt, img = state[:s_t], state[s_t:]
     proj = np.empty((s, 3 * stack.dim))
+    seen = proj.view()  # what the tap reads
+    seen.flags.writeable = False
     attn = np.empty((s, stack.dim))
     weights = np.empty((s, s))  # every head of every layer reuses it
     for t in range(stack.step_count):
         img += stack.step_embedding(t)
-        for layer, (h, w_txt, w_img, cos, sin) in enumerate(plan):
-            q, k, v = _project(txt, img, w_txt, w_img, h, cos, sin, proj)
+        for layer, w in enumerate(stack.layers):
+            h = w.heads
+            q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, h, *tables[w.head_dim], proj)
             if tap is not None:
-                tap(layer, t, JointQKV(q=q, k=k, v=v, img_range=(s_t, s)))
+                tap(layer, t, *seen.reshape(s, 3, h, -1).transpose(1, 0, 2, 3))
             if cfg is not None and cfg.applies_to(layer):
                 _guide(k, v, s_t, cfg)
             _attend(q, k, v, (weights,) * h, attn.reshape(s, h, -1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .guidance import _decompose
+from .guidance import _bias_delta
 from .harness import ToyStack, run_stack
 from .tensors import as_tensor
 
@@ -37,16 +37,15 @@ def ratio(block) -> float:
     block = as_tensor(block, "block")
     if block.ndim != 3:
         raise ShapeError(f"ratio expects an (S_i, H, d_h) block, got shape {block.shape}")
-    count = block.shape[0]
-    if count == 0:
+    if block.shape[0] == 0:
         raise ValueError("ratio: empty token range")
-    bias, delta = _decompose(block)[:2]
+    bias, delta = _bias_delta(block)
     bias_norm = float(np.sqrt(np.sum(bias * bias)))
     if bias_norm == 0.0:
         raise DegenerateInputError("ratio undefined for a zero-norm bias")
-    delta = delta.reshape(count, -1)
-    delta_norms = np.sqrt(np.sum(delta * delta, axis=1, keepdims=True))
-    return float(delta_norms.mean() / bias_norm)
+    delta = delta.reshape(delta.shape[0], -1)
+    delta *= delta
+    return float(np.sqrt(np.sum(delta, axis=1, keepdims=True)).mean() / bias_norm)
 
 
 @dataclass
@@ -71,10 +70,11 @@ def profile_stack(stack: ToyStack, batch) -> tuple[RatioProfile, RatioProfile]:
     ratios_k = np.zeros((len(stack.layers), stack.step_count))
     ratios_v = np.zeros((len(stack.layers), stack.step_count))
 
-    def tap(layer, step, qkv):
-        i_s, i_e = qkv.img_range
-        ratios_k[layer, step] = ratio(qkv.k[i_s:i_e])
-        ratios_v[layer, step] = ratio(qkv.v[i_s:i_e])
+    s_t = batch.txt.shape[0]
+
+    def tap(layer, step, q, k, v):
+        ratios_k[layer, step] = ratio(k[s_t:])
+        ratios_v[layer, step] = ratio(v[s_t:])
 
     run_stack(stack, batch, tap=tap)
     return RatioProfile("K", ratios_k), RatioProfile("V", ratios_v)

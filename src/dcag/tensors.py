@@ -59,12 +59,26 @@ def softmax_rows(x) -> np.ndarray:
     return _softmax_rows(x.copy())
 
 
+# Upper bound on the bytes of one row block of _softmax_rows (one row if a row is larger).
+_SOFTMAX_BLOCK_BYTES = 512 * 1024
+
+
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of x, computed in place; returns x."""
-    x -= x.max(axis=-1, keepdims=True)
-    # exp underflows to exactly 0 below -746 and is slow there: skip those
-    # entries, then zero them (every evaluated entry is non-negative)
-    np.exp(x, out=x, where=x >= -746.0)
-    np.copyto(x, 0.0, where=x < 0.0)
-    x /= x.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of a C-contiguous x, computed in place; returns x.
+
+    The passes run over blocks of whole rows, so their temporaries are
+    block-sized; every operation is row-local, so the blocking changes no bit.
+    """
+    if not x.flags.c_contiguous:  # reshape would copy, and the result would be lost
+        raise ValueError("_softmax_rows works in place on a C-contiguous array")
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _SOFTMAX_BLOCK_BYTES // (rows.shape[1] * rows.itemsize))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        block -= block.max(axis=-1, keepdims=True)
+        # exp underflows to exactly 0 below -746 and is slow there: skip those
+        # entries, then zero them (every evaluated entry is non-negative)
+        np.exp(block, out=block, where=block >= -746.0)
+        np.copyto(block, 0.0, where=block < 0.0)
+        block /= block.sum(axis=-1, keepdims=True)
     return x

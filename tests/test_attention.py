@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -51,6 +52,19 @@ class TestTypes:
         source = rng.standard_normal((2, 4))
         StreamBatch(txt=source, img=rng.standard_normal((3, 4)))
         source[0, 0] = 123.0  # caller's array must stay writable
+
+    def test_layer_weights_store_each_stream_once(self, rng):
+        # the six matrices are read-only views of the fused [Wq|Wk|Wv] arrays
+        # projection reads, and a frozen instance keeps the two from diverging
+        mats = rng.standard_normal((6, 4, 4))
+        w = LayerWeights(*mats, heads=2)
+        for i, name in enumerate(("txt_wq", "txt_wk", "txt_wv", "img_wq", "img_wk", "img_wv")):
+            field = getattr(w, name)
+            assert np.array_equal(field, mats[i]) and not field.flags.writeable
+            assert np.shares_memory(field, w.txt_wqkv if i < 3 else w.img_wqkv)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, mats[i] + 1.0)
+        assert np.array_equal(w.img_wqkv, np.concatenate(mats[3:], axis=1))
 
     def test_layer_weights_head_divisibility(self, rng):
         mats = rng.standard_normal((6, 6, 6))

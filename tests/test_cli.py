@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -375,6 +377,31 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "head dimension" in err[0]
+
+    @pytest.mark.parametrize("command", ["profile", "sweep", "attend"])
+    def test_attention_weights_beyond_physical_memory_is_one_line(self, command, tmp_path,
+                                                                   capsys):
+        # S²·8 bytes (H·S²·8 for attend) at least twice this machine's memory:
+        # the command must refuse before allocating, not raise or get OOM-killed
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        side = math.isqrt(math.isqrt(physical // 4)) + 1  # sweep needs a square count
+        config = tmp_path / "guidance.cfg"
+        config.write_text("delta_k = 1.1\n")
+        argv = [command, "--img-tokens", str(side * side), "--out", str(tmp_path / "out")]
+        if command == "attend":
+            argv += ["--config", str(config)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert peak < 1024 * 1024
 
     @pytest.mark.parametrize("flag, start", [("--help", "usage: dcag"), ("--version", "dcag ")])
     def test_help_and_version_still_print_and_exit_0(self, flag, start):

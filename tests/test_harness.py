@@ -122,10 +122,9 @@ class TestRunStack:
         seen = []
         guided_seen = []
 
-        def tap(layer, step, qkv):
+        def tap(layer, step, q, k, v):
             seen.append((step, layer))
-            i_s, i_e = qkv.img_range
-            guided_seen.append(qkv.k[i_s:i_e].copy())
+            guided_seen.append(k[TXT:].copy())
 
         run_stack(stack, batch, cfg, tap=tap)
         assert seen[:3] == [(0, 0), (0, 1), (1, 0)]
@@ -136,12 +135,30 @@ class TestRunStack:
         )
         assert np.array_equal(guided_seen[0], first.k[TXT:TXT + IMG])
 
+    def test_tap_views_are_read_only(self, stack, batch):
+        # the tap reads the projection buffer the loop guides in place, not a copy
+        cfg = GuidanceConfig(RANGE, delta_k=2.0, delta_v=2.0)
+        shapes = []
+
+        def tap(layer, step, q, k, v):
+            for block in (q, k, v):
+                assert not block.flags.writeable
+                assert not block.flags.owndata
+                shapes.append(block.shape)
+                with pytest.raises(ValueError, match="read-only"):
+                    block[TXT, 0, 0] = 0.0
+
+        out = run_stack(stack, batch, cfg, tap=tap)
+        assert shapes == [(TXT + IMG, HEADS, DIM // HEADS)] * (3 * 2 * 2)
+        assert np.array_equal(out, run_stack(stack, batch, cfg))
+
     def test_every_tap_matches_public_stage_composition(self, stack, batch):
         # the stack loop must hand each tap exactly what project_qkv returns
         # for the running state, and must guide and attend like the public stages
         cfg = GuidanceConfig(RANGE, delta_k=1.3, delta_v=0.7, guided_layers=(1,))
         seen = []
-        out = run_stack(stack, batch, cfg, tap=lambda layer, step, qkv: seen.append(qkv))
+        out = run_stack(stack, batch, cfg,
+                        tap=lambda layer, step, *qkv: seen.append([x.copy() for x in qkv]))
 
         txt = np.array(batch.txt)
         img = np.array(batch.img)
@@ -159,10 +176,10 @@ class TestRunStack:
 
         assert len(seen) == len(expected) == stack.step_count * len(stack.layers)
         for got, want in zip(seen, expected):
-            assert isinstance(got, JointQKV)
-            assert got.img_range == want.img_range
-            for name in ("q", "k", "v"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert want.img_range == (TXT, TXT + IMG)  # the image rows the tap is told of
+            for block, name in zip(got, ("q", "k", "v")):
+                assert block.shape == getattr(want, name).shape
+                assert np.array_equal(block, getattr(want, name))
         assert np.array_equal(out, img)
 
     def test_dim_mismatch(self, stack):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,6 +57,18 @@ class TestRatio:
             flat = delta.reshape(shape[0], -1)
             flat_norms = np.sqrt(np.sum(flat * flat, axis=1, keepdims=True))
             assert ratio(block) == float(flat_norms.mean() / np.sqrt(np.sum(bias * bias)))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_strided_view_matches_contiguous_copy(self, rng, offset):
+        # profile_stack hands ratio the image rows of K and V as read-only
+        # views into the (S, 3D) projection buffer
+        for s_t, s_i, heads, dh in ((1, 1, 1, 2), (4, 10, 2, 8), (8, 257, 4, 16)):
+            proj = offset + rng.standard_normal((s_t + s_i, 3 * heads * dh))
+            q, k, v = proj.reshape(s_t + s_i, 3, heads, dh).transpose(1, 0, 2, 3)
+            for block in (q[s_t:], k[s_t:], v[s_t:]):
+                assert not block.flags.c_contiguous or s_i == 1
+                block.flags.writeable = False
+                assert ratio(block) == ratio(np.ascontiguousarray(block))
 
     def test_zero_bias_is_degenerate(self):
         block = np.array([[[1.0, 0.0]], [[-1.0, 0.0]]])
@@ -123,9 +137,9 @@ class TestProfileStack:
         expected_k = np.zeros((3, 2))
         expected_v = np.zeros((3, 2))
 
-        def recompute(layer, step, qkv):
-            i_s, i_e = qkv.img_range
-            for target, block in ((expected_k, qkv.k[i_s:i_e]), (expected_v, qkv.v[i_s:i_e])):
+        def recompute(layer, step, q, k, v):
+            s_t = batch.txt.shape[0]
+            for target, block in ((expected_k, k[s_t:]), (expected_v, v[s_t:])):
                 mean = block.mean(axis=0, keepdims=True)
                 deltas = block - mean
                 per_token = np.linalg.norm(deltas.reshape(deltas.shape[0], -1), axis=1)
@@ -134,6 +148,29 @@ class TestProfileStack:
         run_stack(stack, batch, None, tap=recompute)
         assert np.max(np.abs(pk.ratios - expected_k)) <= 1e-12
         assert np.max(np.abs(pv.ratios - expected_v)) <= 1e-12
+
+
+def profile_peak(layers: int) -> int:
+    """tracemalloc peak of profile_stack at 8 + 1,024 tokens, dim 64, 4 heads, 1 step."""
+    stack = ToyStack.seeded(0, layers=layers, steps=1, dim=64, heads=4)
+    batch = seeded_batch(0, txt_tokens=8, img_tokens=1024, dim=64)
+    tracemalloc.start()
+    try:
+        profile_stack(stack, batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_memory_is_one_square_buffer_at_any_depth():
+    # one (S, S) weights buffer plus O(S·D) working memory, whatever the layer
+    # count: no per-layer weight copies or RoPE tables, and a tap that copies nothing
+    s, d = 8 + 1024, 64
+    deep = profile_peak(8)
+    assert deep < s * s * 8 + 8 * s * d * 8
+    # the interpreter's own allocations move the peak by a few KiB from run to
+    # run; one layer's (D, 3D) weights alone are 96 KiB, its RoPE table 129 KiB
+    assert deep < profile_peak(1) + 16 * 1024
 
 
 class TestArtifacts:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcag import ShapeError, matmul, softmax_rows
+from dcag.tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
 from oracles import naive_matmul
 
 
@@ -95,6 +96,35 @@ class TestSoftmaxRows:
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         assert np.array_equal(softmax_rows(x), e / e.sum(axis=1, keepdims=True))
+
+    def test_row_blocks_match_one_shot_formula_bitwise(self, rng):
+        # the kernel runs its passes over row blocks; with a ragged last block,
+        # at least three blocks, and rows where all but one entry underflows,
+        # every bit must equal the unblocked max-subtract/exp/normalise
+        n = 1000
+        block_rows = _SOFTMAX_BLOCK_BYTES // (n * 8)
+        m = 2 * (7 * block_rows // 4)  # about 3.5 blocks, and even
+        assert m % block_rows and m // block_rows >= 3 and m % 2 == 0
+        x = rng.standard_normal((m, n))
+        x[::4] *= 1e4  # nearly every shifted entry of these rows is below -746
+        x[1::4, ::3] -= 745.0
+        x[2::4, 1::5] -= 746.5
+        shifted = x - x.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=1, keepdims=True)
+        assert np.mean(expected[::4] == 0.0) > 0.99
+        assert np.array_equal(softmax_rows(x), expected)
+        # the (H, S, S) form the batched attention reference uses
+        stacked = x.reshape(2, m // 2, n).copy()
+        assert np.array_equal(_softmax_rows(stacked), expected.reshape(2, m // 2, n))
+
+    def test_kernel_rejects_a_non_contiguous_array(self, rng):
+        # the kernel works in place on a row view; a copy would drop the result
+        x = rng.standard_normal((4, 6))
+        before = x.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _softmax_rows(x.T)
+        assert np.array_equal(x, before)
 
     def test_non_negative(self, rng):
         assert np.all(softmax_rows(rng.standard_normal((5, 5))) >= 0.0)
