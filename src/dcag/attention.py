@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import _softmax_rows, as_tensor, check_finite
+from .tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows, as_tensor, check_finite
 
 __all__ = [
     "StreamBatch",
@@ -219,24 +219,35 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
 
 
 def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Scaled logits (S, S) of one head's (S, d_h) q and k, written into out."""
-    np.matmul(q, k.T, out=out)
-    out *= 1.0 / np.sqrt(q.shape[1])
+    """Scaled logits (G, S, S) of G heads' (S, G, d_h) q and k, written into out."""
+    np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=out)
+    out *= 1.0 / np.sqrt(q.shape[2])
     return out
 
 
-def _attend(q, k, v, weights, out: np.ndarray) -> np.ndarray:
-    """Attention of (S, H, d_h) blocks into out (S, H, d_h), one head at a time.
+def _group_buffer(s: int, heads: int) -> np.ndarray:
+    """The (G, S, S) weights buffer _attend fills G heads at a time.
 
-    weights yields one C-contiguous (S, S) buffer per head: one buffer
-    repeated H times, or the slices of an (H, S, S) tensor. Each is left
-    holding its head's softmax weights. These are the per-head gemm calls a
-    batched (H, S, S) matmul makes, so the results are bitwise the same.
-    Query-block tiling is not: BLAS rounds row blocks differently.
+    G is as many heads as fit in one softmax row block, at least one, so a
+    buffer over one (S, S) is never larger than _SOFTMAX_BLOCK_BYTES.
     """
-    for head, w in enumerate(weights):
-        _softmax_rows(_logits(q[:, head], k[:, head], w))
-        np.matmul(w, v[:, head], out=out[:, head])
+    return np.empty((max(1, min(heads, _SOFTMAX_BLOCK_BYTES // (s * s * 8))), s, s))
+
+
+def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Attention of (S, H, d_h) blocks into out (S, H, d_h), G heads at a time.
+
+    weights is a C-contiguous (G, S, S) buffer; each group of G heads runs as
+    one batched logits matmul, one softmax and one batched weighted sum, and
+    leaves its softmax weights in the buffer. A batched matmul makes the same
+    per-head gemm calls as a loop over heads, so any G gives the same bits.
+    Query-block tiling would not: BLAS rounds row blocks differently.
+    """
+    g, h = weights.shape[0], q.shape[1]
+    for first in range(0, h, g):
+        heads = slice(first, first + g)  # the last group may be shorter
+        w = _softmax_rows(_logits(q[:, heads], k[:, heads], weights[:h - first]))
+        np.matmul(w, v[:, heads].transpose(1, 0, 2), out=out[:, heads].transpose(1, 0, 2))
     return out
 
 
@@ -246,7 +257,9 @@ def attention_weights(qkv: JointQKV) -> np.ndarray:
     s, h, dh = qkv.q.shape
     weights = np.empty((h, s, s))
     _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh)))
-    return check_finite(weights, "attention weights")
+    # entries are in [0, 1] or NaN: a row sum is finite exactly when its row is
+    check_finite(weights.sum(axis=2), "attention weights")
+    return weights
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -255,11 +268,11 @@ def joint_attention(qkv: JointQKV) -> StreamBatch:
 
     Heads are re-merged and the output is split back into text and image
     streams at the image range boundary (so the text prefix must be
-    non-empty; use attention_weights for image-only fixtures). Every head
-    reuses one (S, S) buffer; attention_weights returns the (H, S, S) tensor.
+    non-empty; use attention_weights for image-only fixtures). The heads
+    share one _group_buffer; attention_weights returns the (H, S, S) tensor.
     """
     s, h, dh = qkv.q.shape
-    merged = _attend(qkv.q, qkv.k, qkv.v, (np.empty((s, s)),) * h,
+    merged = _attend(qkv.q, qkv.k, qkv.v, _group_buffer(s, h),
                      np.empty((s, h, dh))).reshape(s, h * dh)
     i_s, i_e = qkv.img_range
     return StreamBatch(txt=merged[:i_s], img=merged[i_s:i_e])

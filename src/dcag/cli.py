@@ -165,10 +165,10 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
 
 
 def _check_memory(args, heads: int = 1) -> None:
-    """Refuse a run whose (heads, S, S) float64 attention weights exceed physical memory.
+    """Refuse a run whose (heads, S, S) float64 buffers exceed physical memory.
 
-    That is a command's one allocation that grows as S²; checking it before
-    anything is built turns an impossible shape into one error line.
+    heads counts the most (S, S) buffers the command holds at once; checking
+    before anything is built turns an impossible shape into one error line.
     """
     s = args.txt_tokens + args.img_tokens
     need = heads * s * s * 8
@@ -274,13 +274,15 @@ def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
     """
     i_s, i_e = qkv.img_range
     s, h, _ = qkv.q.shape
-    pre_buf, post_buf = np.empty((s, s)), np.empty((s, s))
+    pre_buf, post_buf = np.empty((1, s, s)), np.empty((1, s, s))
     spreads, drifts = [], []
     for head in range(h):
-        pre = _logits(qkv.q[:, head], qkv.k[:, head], pre_buf)[:, i_s:i_e]
-        post = _logits(guided.q[:, head], guided.k[:, head], post_buf)[:, i_s:i_e]
-        post -= delta_k * pre
+        one = slice(head, head + 1)
+        pre = _logits(qkv.q[:, one], qkv.k[:, one], pre_buf)[0, :, i_s:i_e]
+        post = _logits(guided.q[:, one], guided.k[:, one], post_buf)[0, :, i_s:i_e]
         spreads.append(np.max(pre.max(axis=1) - pre.min(axis=1)))
+        pre *= delta_k  # in place: post - delta_k * pre needs no third buffer
+        post -= pre
         drifts.append(np.max(post.max(axis=1) - post.min(axis=1)))
     tolerance = 1e-10 * max(1.0, delta_k * float(np.max(spreads)))
     return float(np.max(drifts)) <= tolerance
@@ -302,7 +304,8 @@ def _check_value_affinity(qkv) -> bool:
 
 
 def _cmd_attend(args) -> int:
-    _check_memory(args, args.heads)
+    # the checks hold two (S, S) logit buffers, then the artifacts H weights
+    _check_memory(args, max(args.heads, 2))
     token_range = (args.txt_tokens, args.txt_tokens + args.img_tokens)
     cfg = load_config(args.config, default_token_range=token_range)
     weights = ToyStack.seeded(args.seed, layers=1, steps=1,
@@ -320,6 +323,14 @@ def _cmd_attend(args) -> int:
     def flat(block):
         return block.reshape(block.shape[0], h * dh)
 
+    checks = None
+    if args.check:  # before the (H, S, S) weights exist, so the two never coexist
+        probe = GuidanceConfig(token_range, delta_k=1.1, delta_v=1.0)
+        checks = {
+            "identity": _check_identity(qkv),
+            "logit_scaling": _check_logit_scaling(qkv, apply_dcag(qkv, probe), probe.delta_k),
+            "value_affinity": _check_value_affinity(qkv),
+        }
     artifacts = {
         "k_img_pre.csv": flat(qkv.k[i_s:i_e]),
         "k_img_post.csv": flat(guided.k[i_s:i_e]),
@@ -328,14 +339,6 @@ def _cmd_attend(args) -> int:
         "attention.csv": attention_weights(guided).reshape(h * s, s),
         "output.csv": np.concatenate([out.txt, out.img], axis=0),
     }
-    checks = None
-    if args.check:
-        probe = GuidanceConfig(token_range, delta_k=1.1, delta_v=1.0)
-        checks = {
-            "identity": _check_identity(qkv),
-            "logit_scaling": _check_logit_scaling(qkv, apply_dcag(qkv, probe), probe.delta_k),
-            "value_affinity": _check_value_affinity(qkv),
-        }
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
     summary = {"checks": checks} if checks is not None else None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import LayerWeights, StreamBatch, _attend, _project, _rope_table
+from .attention import LayerWeights, StreamBatch, _attend, _group_buffer, _project, _rope_table
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _check_range, _guide
 from .metrics import mse, psnr, ssim
@@ -124,7 +124,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     once the tap returns, so a tap copies what it keeps.
     Arguments are validated once on entry and the result once on return;
     in between, the attention and guidance kernels run on reused buffers,
-    attention on one (S, S) weights buffer shared by every head.
+    attention on one _group_buffer shared by every layer.
     """
     if batch.dim != stack.dim:
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
@@ -140,7 +140,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     seen = proj.view()  # what the tap reads
     seen.flags.writeable = False
     attn = np.empty((s, stack.dim))
-    weights = np.empty((s, s))  # every head of every layer reuses it
+    weights = _group_buffer(s, max((w.heads for w in stack.layers), default=1))
     for t in range(stack.step_count):
         img += stack.step_embedding(t)
         for layer, w in enumerate(stack.layers):
@@ -150,7 +150,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
                 tap(layer, t, *seen.reshape(s, 3, h, -1).transpose(1, 0, 2, 3))
             if cfg is not None and cfg.applies_to(layer):
                 _guide(k, v, s_t, cfg)
-            _attend(q, k, v, (weights,) * h, attn.reshape(s, h, -1))
+            _attend(q, k, v, weights, attn.reshape(s, h, -1))
             state += attn
     return check_finite(img, "stack output")
 

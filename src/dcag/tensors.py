@@ -68,6 +68,12 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
     The passes run over blocks of whole rows, so their temporaries are
     block-sized; every operation is row-local, so the blocking changes no bit.
+    exp underflows to exactly +0.0 below -746 and is slow there, so a block
+    with such dead entries exps and divides only its live ones and clamps the
+    dead ones to +0.0, the value exp and 0/sum give. A block with no dead
+    entry runs the plain exp and divide (a masked ufunc costs more even when
+    every mask bit is set), and a block of one-hot rows, whose sums are all
+    exactly 1, skips the divide: x / 1.0 is x.
     """
     if not x.flags.c_contiguous:  # reshape would copy, and the result would be lost
         raise ValueError("_softmax_rows works in place on a C-contiguous array")
@@ -76,9 +82,14 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
         block -= block.max(axis=-1, keepdims=True)
-        # exp underflows to exactly 0 below -746 and is slow there: skip those
-        # entries, then zero them (every evaluated entry is non-negative)
-        np.exp(block, out=block, where=block >= -746.0)
-        np.copyto(block, 0.0, where=block < 0.0)
-        block /= block.sum(axis=-1, keepdims=True)
+        live = block >= -746.0
+        dense = live.all()
+        if dense:
+            np.exp(block, out=block)
+        else:
+            np.exp(block, out=block, where=live)
+            np.maximum(block, 0.0, out=block)  # evaluated entries are already >= +0.0
+        sums = block.sum(axis=-1, keepdims=True)
+        if (sums != 1.0).any():
+            np.divide(block, sums, out=block, where=True if dense else live)
     return x

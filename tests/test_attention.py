@@ -213,9 +213,20 @@ class TestJointAttention:
         assert weights.shape == (2, 6, 6)
         assert np.max(np.abs(weights.sum(axis=2) - 1.0)) <= 1e-12
 
+    def test_overflowing_logits_are_rejected(self, rng):
+        # q·k overflows to inf, so a row's max subtraction gives NaN weights;
+        # attention_weights checks its (H, S) row sums, not an (H, S, S) mask
+        qkv = make_qkv(rng, 2, 6, 2, 4)
+        huge = JointQKV(q=qkv.q * 1e200, k=qkv.k * 1e200, v=qkv.v, img_range=qkv.img_range)
+        for attend in (attention_weights, joint_attention):
+            with pytest.raises(ValueError, match="non-finite"):
+                attend(huge)
+
 
 # Runs in a fresh interpreter so OPENBLAS_NUM_THREADS takes effect. q, k, v
-# are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack.
+# are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. Groups
+# of G heads, including a ragged last group (G = 3), must give the bits of one
+# batched (H, S, S) formula; with G = H the buffer is the (H, S, S) weights.
 PER_HEAD_VS_BATCHED = """
 import hashlib
 import numpy as np
@@ -223,7 +234,7 @@ from dcag.attention import _attend
 from dcag.tensors import _softmax_rows
 
 rng = np.random.default_rng(11)
-for s in (408, 579, 1032):
+for s in (152, 408, 579, 1032):
     for h in (4, 16):
         block = rng.standard_normal((s, 3 * 64))
         q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
@@ -234,13 +245,13 @@ for s in (408, 579, 1032):
         expected = (_softmax_rows(batched) @ vh).transpose(1, 0, 2)
         expected_weights = hashlib.sha256(batched).hexdigest()
         del batched  # keep one (H, S, S) tensor alive at a time
-        weights = np.empty((h, s, s))
-        out = _attend(q, k, v, weights, np.empty(q.shape))
-        assert np.array_equal(out, expected), (s, h, "(H, S, S) slices")
-        assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
-        del weights
-        out = _attend(q, k, v, (np.empty((s, s)),) * h, np.empty(q.shape))
-        assert np.array_equal(out, expected), (s, h, "one (S, S) buffer")
+        for g in (1, 2, 3, h):
+            weights = np.empty((g, s, s))
+            out = _attend(q, k, v, weights, np.empty(q.shape))
+            assert np.array_equal(out, expected), (s, h, g)
+            if g == h:
+                assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
+            del weights
 """
 
 

@@ -118,6 +118,54 @@ class TestSoftmaxRows:
         stacked = x.reshape(2, m // 2, n).copy()
         assert np.array_equal(_softmax_rows(stacked), expected.reshape(2, m // 2, n))
 
+    @staticmethod
+    def plain(x):
+        """The unshortened max-subtract/exp/normalise formula."""
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def test_all_live_block_matches_plain_formula_bitwise(self, rng):
+        # no shifted entry below -746: the kernel's unmasked exp and divide
+        x = rng.standard_normal((50, 300)) * 20.0
+        assert (x - x.max(axis=1, keepdims=True)).min() >= -746.0
+        out = softmax_rows(x)
+        assert np.array_equal(out, self.plain(x))
+        assert not np.signbit(out).any()
+
+    def test_blocks_of_live_and_dead_rows_match_plain_formula_bitwise(self, rng):
+        # blocks with no dead entry take the unmasked branch, blocks holding a
+        # mostly-dead row the masked one, and blocks of one-hot rows (every row
+        # sum exactly 1) skip the divide; the bits must not depend on which
+        n = 1000
+        block_rows = _SOFTMAX_BLOCK_BYTES // (n * 8)
+        x = rng.standard_normal((5 * block_rows + 7, n))
+        x[block_rows + 3] *= 1e4  # block 1: one mostly-dead row among live rows
+        x[block_rows + 4] = -1000.0  # and one one-hot row
+        x[block_rows + 4, 17] = 0.0
+        x[2 * block_rows:3 * block_rows] = -1000.0  # block 2: one-hot rows only
+        x[2 * block_rows:3 * block_rows, 5] = 0.0
+        x[4 * block_rows::5] *= 1e4  # block 4 and the ragged block 5: many
+        expected = self.plain(x)
+        assert np.mean(expected[block_rows + 3] == 0.0) > 0.99
+        assert np.all(expected[2 * block_rows:3 * block_rows].sum(axis=1) == 1.0)
+        out = softmax_rows(x)
+        assert np.array_equal(out, expected)
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_subnormal_band_matches_plain_formula_bitwise(self, rng, dead):
+        # shifted logits in [-745.1, -708.4] give subnormal weights; with and
+        # without dead entries in the block (the masked and unmasked branches)
+        x = rng.uniform(-745.1, -708.4, size=(40, 64))
+        x[:, 0] = 0.0  # the row max, so the shifted logits are x itself
+        if dead:
+            x[::3, 1::4] = -800.0
+        expected = self.plain(x)
+        assert np.any((expected > 0.0) & (expected < np.finfo(np.float64).tiny))
+        out = softmax_rows(x)
+        assert np.array_equal(out, expected)
+        assert not np.signbit(out).any()
+
     def test_kernel_rejects_a_non_contiguous_array(self, rng):
         # the kernel works in place on a row view; a copy would drop the result
         x = rng.standard_normal((4, 6))
