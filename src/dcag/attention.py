@@ -150,18 +150,34 @@ class JointQKV:
                 f"image range {self.img_range} inconsistent with sequence length {self.q.shape[0]}"
             )
 
+    @classmethod
+    def _adopt(cls, q, k, v, img_range) -> "JointQKV":
+        """A JointQKV of a valid one's shapes over arrays no caller holds: frozen, not copied."""
+        qkv = cls.__new__(cls)
+        for name, arr in (("q", q), ("k", k), ("v", v)):
+            arr.flags.writeable = False
+            setattr(qkv, name, check_finite(arr, name))
+        qkv.img_range = img_range
+        return qkv
 
-def _rope_table(positions: np.ndarray, head_dim: int):
-    """cos and sin of every (position, pair) angle, each shaped (S, 1, d_h / 2)."""
+
+def _rope_table(positions: np.ndarray, head_dim: int, heads: int):
+    """cos and sin of every (position, pair) angle, tiled over heads: each (S, H·d_h/2)."""
     theta = DEFAULT_ROPE_BASE ** (-2.0 * np.arange(head_dim // 2, dtype=np.float64) / head_dim)
     angles = positions[:, None] * theta[None, :]
-    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    return np.tile(np.cos(angles), heads), np.tile(np.sin(angles), heads)
 
 
 def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate the (S, H, d_h) block x in place; x may be a strided view."""
-    even, odd = x[:, :, 0::2], x[:, :, 1::2]
-    even[...], odd[...] = even * cos - odd * sin, even * sin + odd * cos
+    """Rotate the pairs of the (S, H·d_h) block x in place, on two temporaries; x may be a view."""
+    even, odd = x[:, 0::2], x[:, 1::2]
+    a, b = even * cos, odd * sin
+    a -= b  # even*cos - odd*sin
+    np.multiply(even, sin, out=b)
+    even[...] = a
+    np.multiply(odd, cos, out=a)
+    b += a  # even*sin + odd*cos
+    odd[...] = b
     return x
 
 
@@ -177,25 +193,30 @@ def rope(x, positions) -> np.ndarray:
     x = as_tensor(x, "rope input")
     if x.ndim != 3:
         raise ShapeError(f"rope expects an (S, H, d_h) block, got shape {x.shape}")
-    s, _, dh = x.shape
+    s, h, dh = x.shape
     if dh % 2 != 0:
         raise ValueError(f"rope needs an even head dimension, got d_h={dh}")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (s,):
         raise ShapeError(f"need one position per token: {pos.shape} positions for {s} tokens")
-    return check_finite(_rope(x.copy(), *_rope_table(pos, dh)), "rope output")
+    out = x.copy()
+    _rope(out.reshape(s, h * dh), *_rope_table(pos, dh, h))
+    return check_finite(out, "rope output")
 
 
 def _project(txt, img, w_txt, w_img, heads: int, cos, sin, out: np.ndarray):
     """Q, K, V of the joint sequence as (S, H, d_h) views into out (S, 3D).
 
     w_txt and w_img are a LayerWeights' txt_wqkv and img_wqkv, cos and sin
-    come from _rope_table over positions 0..S-1; RoPE is applied to Q and K.
+    come from _rope_table over positions 0..S-1; RoPE rotates the Q and K
+    columns of out in place.
     """
     np.matmul(txt, w_txt, out=out[:txt.shape[0]])
     np.matmul(img, w_img, out=out[txt.shape[0]:])
-    q, k, v = out.reshape(out.shape[0], 3, heads, -1).transpose(1, 0, 2, 3)
-    return _rope(q, cos, sin), _rope(k, cos, sin), v
+    d = out.shape[1] // 3
+    _rope(out[:, :d], cos, sin)
+    _rope(out[:, d:2 * d], cos, sin)
+    return out.reshape(out.shape[0], 3, heads, -1).transpose(1, 0, 2, 3)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -212,7 +233,7 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
         )
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
-    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim)
+    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim, weights.heads)
     q, k, v = _project(batch.txt, batch.img, weights.txt_wqkv, weights.img_wqkv, weights.heads,
                        cos, sin, np.empty((s, 3 * weights.dim)))
     return JointQKV(q=q, k=k, v=v, img_range=(s_t, s))

@@ -165,17 +165,21 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
 
 
 def _check_memory(args, heads: int = 1) -> None:
-    """Refuse a run whose (heads, S, S) float64 buffers exceed physical memory.
+    """Refuse a run whose float64 stack and (heads, S, S) buffers exceed physical memory.
 
-    heads counts the most (S, S) buffers the command holds at once; checking
-    before anything is built turns an impossible shape into one error line.
+    The stack keeps 6·D² weights per layer and D per step (attend builds one of
+    each) and draws one more (6, D, D) while building; heads counts the most
+    (S, S) buffers held at once. Checking before anything is built turns an
+    impossible shape into one error line.
     """
     s = args.txt_tokens + args.img_tokens
-    need = heads * s * s * 8
+    layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
+    need = (heads * s * s + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim) * 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
-        raise ConfigError(f"{s} tokens need {need / 2**30:.1f} GiB of attention weights, "
-                          f"more than the {physical / 2**30:.1f} GiB of physical memory")
+        raise ConfigError(f"the run needs {need / 2**30:.1f} GiB (tokens {s}, dimension "
+                          f"{args.dim}, layers {layers}, steps {steps}), more than the "
+                          f"{physical / 2**30:.1f} GiB of physical memory")
 
 
 def _cmd_profile(args) -> int:

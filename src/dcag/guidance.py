@@ -57,11 +57,6 @@ def _sum_error(a, b, s):
     return err
 
 
-def _two_sum(a, b):
-    s = a + b
-    return s, _sum_error(a, b, s)
-
-
 def _check_scale(value, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
@@ -104,8 +99,12 @@ def _decompose(block: np.ndarray):
 
 def _rescale(bias, delta, residual, lam: float, delta_scale: float) -> np.ndarray:
     """lam * bias + delta_scale * (delta + residual), compensated."""
-    total, carry = _two_sum(lam * bias, delta_scale * delta)
-    return total + (carry + delta_scale * residual)
+    a, b = lam * bias, delta_scale * delta
+    total = a + b
+    carry = _sum_error(a, b, total)
+    carry += np.multiply(delta_scale, residual, out=b)  # b is spent: reuse it
+    total += carry
+    return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -186,9 +185,14 @@ def _check_range(cfg: GuidanceConfig, img_range) -> None:
 
 
 def _guide(k: np.ndarray, v: np.ndarray, i_s: int, cfg: GuidanceConfig) -> None:
-    """Rescale the image rows k[i_s:] and v[i_s:] of (S, H, d_h) blocks in place."""
-    k[i_s:] = _rescale(*_decompose(k[i_s:]), cfg.lambda_k, cfg.delta_k)
-    v[i_s:] = _rescale(*_decompose(v[i_s:]), cfg.lambda_v, cfg.delta_v)
+    """Rescale the image rows k[i_s:] and v[i_s:] of (S, H, d_h) blocks in place.
+
+    A channel at (lambda, delta) = (1, 1) is left alone, which is what _rescale
+    gives bit for bit, except that it turns -0.0 into +0.0 and fails on overflow.
+    """
+    for x, lam, scale in ((k, cfg.lambda_k, cfg.delta_k), (v, cfg.lambda_v, cfg.delta_v)):
+        if lam != 1.0 or scale != 1.0:
+            x[i_s:] = _rescale(*_decompose(x[i_s:]), lam, scale)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -203,7 +207,7 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
     k = np.array(qkv.k)
     v = np.array(qkv.v)
     _guide(k, v, qkv.img_range[0], cfg)
-    return JointQKV(q=qkv.q, k=k, v=v, img_range=qkv.img_range)
+    return JointQKV._adopt(qkv.q, k, v, qkv.img_range)  # the copies above are the only ones
 
 
 def guided_attention(batch: StreamBatch, weights: LayerWeights,

@@ -10,7 +10,7 @@ artifacts are byte-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,25 +47,26 @@ def _check_seed(seed) -> int:
     return seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyStack:
     """A stack of attention layers plus a seeded per-step embedding stream.
 
     Fully determined by (seed, layer count, step count, shape parameters):
     two stacks built from equal parameters are bitwise identical, and so is
-    everything computed from them.
+    everything computed from them. The instance is frozen, and embeddings
+    holds every step_embedding, drawn once, read-only, shaped (steps, D).
     """
 
     layers: tuple[LayerWeights, ...]
     seed: int
     dim: int
     step_count: int
+    embeddings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.layers = tuple(self.layers)
-        self.seed = _check_seed(self.seed)
-        self.dim = int(self.dim)
-        self.step_count = int(self.step_count)
+        for name, value in (("layers", tuple(self.layers)), ("seed", _check_seed(self.seed)),
+                            ("dim", int(self.dim)), ("step_count", int(self.step_count))):
+            object.__setattr__(self, name, value)
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.step_count < 1:
@@ -73,6 +74,11 @@ class ToyStack:
         for i, w in enumerate(self.layers):
             if w.dim != self.dim:
                 raise ShapeError(f"layer {i} has dim {w.dim}, stack expects {self.dim}")
+        embeddings = np.empty((self.step_count, self.dim))
+        for t in range(self.step_count):
+            embeddings[t] = self.step_embedding(t)
+        embeddings.flags.writeable = False
+        object.__setattr__(self, "embeddings", embeddings)
 
     @classmethod
     def seeded(cls, seed: int, *, layers: int, steps: int, dim: int, heads: int) -> "ToyStack":
@@ -133,7 +139,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     if cfg is not None:
         _check_range(cfg, (s_t, s))
     positions = np.arange(s, dtype=np.float64)
-    tables = {dh: _rope_table(positions, dh) for dh in {w.head_dim for w in stack.layers}}
+    tables = {h: _rope_table(positions, stack.dim // h, h) for h in {w.heads for w in stack.layers}}
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
     txt, img = state[:s_t], state[s_t:]
     proj = np.empty((s, 3 * stack.dim))
@@ -141,11 +147,11 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     seen.flags.writeable = False
     attn = np.empty((s, stack.dim))
     weights = _group_buffer(s, max((w.heads for w in stack.layers), default=1))
-    for t in range(stack.step_count):
-        img += stack.step_embedding(t)
+    for t, embedding in enumerate(stack.embeddings):
+        img += embedding
         for layer, w in enumerate(stack.layers):
             h = w.heads
-            q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, h, *tables[w.head_dim], proj)
+            q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, h, *tables[h], proj)
             if tap is not None:
                 tap(layer, t, *seen.reshape(s, 3, h, -1).transpose(1, 0, 2, 3))
             if cfg is not None and cfg.applies_to(layer):
@@ -216,8 +222,9 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
     """Run the stack at every (delta_k, delta_v) and score against (1, 1).
 
     The reference is the identity-config output; its rendering range
-    normalizes every grid point's image, so the (1, 1) grid point compares
-    the reference with itself and scores mse 0, psnr at cap, ssim 1.
+    normalizes every grid point's image. A (1, 1) grid point reuses the
+    rendered reference, the same bits a run would give, and scores mse 0,
+    psnr at cap, ssim 1.
     """
     dks = [float(v) for v in dk_values]
     dvs = [float(v) for v in dv_values]
@@ -228,15 +235,16 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
     reference_block = run_stack(stack, batch, GuidanceConfig.identity(token_range))
     grid = token_grid(reference_block)
     lo, hi = float(grid.min()), float(grid.max())
-    if not hi > lo:
-        raise DegenerateInputError("reference image has zero dynamic range")
-    reference = render_tokens(reference_block, lo, hi)
+    reference = render_tokens(reference_block, lo, hi)  # raises if hi == lo
 
     records = []
     for dk in dks:
         for dv in dvs:
-            cfg = GuidanceConfig(token_range=token_range, delta_k=dk, delta_v=dv)
-            image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
+            if (dk, dv) == (1.0, 1.0):
+                image = reference
+            else:
+                cfg = GuidanceConfig(token_range=token_range, delta_k=dk, delta_v=dv)
+                image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
             records.append(SweepRecord(
                 delta_k=dk, delta_v=dv,
                 mse=mse(image, reference),

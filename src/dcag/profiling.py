@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 from .guidance import _bias_delta
 from .harness import ToyStack, run_stack
-from .tensors import as_tensor
+from .tensors import as_tensor, check_finite
 
 __all__ = [
     "RatioProfile",
@@ -32,9 +32,10 @@ def ratio(block) -> float:
     """Delta-to-bias ratio of an (S_i, H, d_h) block.
 
     Token vectors are flattened across heads, a whole-token reading of the
-    norms. bias and delta are those guidance rescales.
+    norms. bias and delta are those guidance rescales. The block may be a
+    strided view, such as a run_stack tap's; it is read, not copied.
     """
-    block = as_tensor(block, "block")
+    block = check_finite(np.asarray(block, dtype=np.float64), "block")
     if block.ndim != 3:
         raise ShapeError(f"ratio expects an (S_i, H, d_h) block, got shape {block.shape}")
     if block.shape[0] == 0:

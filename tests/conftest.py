@@ -21,6 +21,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def bits(a) -> np.ndarray:
+    """The raw 64-bit patterns of a float64 array, so -0.0 and +0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
 def child_env(**extra) -> dict:
     """os.environ for a child interpreter that imports the dcag under test first."""
     src = str(Path(dcag.__file__).resolve().parents[1])

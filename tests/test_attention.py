@@ -15,8 +15,9 @@ from dcag import (
     project_qkv,
     rope,
 )
-from conftest import child_env
-from oracles import naive_attention
+from dcag.attention import DEFAULT_ROPE_BASE, _project, _rope_table
+from conftest import bits, child_env
+from oracles import naive_attention, naive_rope
 
 
 def make_weights(rng, dim, heads):
@@ -120,6 +121,51 @@ class TestRope:
     def test_position_count_must_match(self, rng):
         with pytest.raises(ShapeError, match="position"):
             rope(rng.standard_normal((2, 1, 4)), [0, 1, 2])
+
+
+def per_head_rope(x, positions):
+    """RoPE per head: (S, 1, d_h/2) tables broadcast over the heads of an (S, H, d_h) block."""
+    dh = x.shape[2]
+    theta = DEFAULT_ROPE_BASE ** (-2.0 * np.arange(dh // 2, dtype=np.float64) / dh)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * theta[None, :]
+    cos, sin = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    out = np.array(x)
+    even, odd = out[:, :, 0::2], out[:, :, 1::2]
+    even[...], odd[...] = even * cos - odd * sin, even * sin + odd * cos
+    return out
+
+
+HEAD_SHAPES = [(1, 64), (4, 16), (32, 2), (3, 6)]
+
+
+@pytest.mark.parametrize("heads, dh", HEAD_SHAPES)
+def test_whole_row_rope_matches_per_head_formula_bitwise(rng, heads, dh):
+    # the tables tile the per-head angles over heads, so each element takes the
+    # same two products and one sum as in the per-head formula
+    x = rng.standard_normal((41, heads, dh)) * 10.0 ** rng.integers(-3, 4, (41, heads, dh))
+    positions = rng.permutation(1000)[:41]
+    out = rope(x, positions)
+    assert np.array_equal(bits(out), bits(per_head_rope(x, positions)))
+    assert np.max(np.abs(out - naive_rope(x, positions))) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("heads, dh", HEAD_SHAPES)
+def test_projection_matches_per_head_formula_bitwise(rng, heads, dh):
+    s_t, s_i, d = 5, 37, heads * dh
+    w = make_weights(rng, d, heads)
+    txt, img = rng.standard_normal((s_t, d)), rng.standard_normal((s_i, d))
+    positions = np.arange(s_t + s_i, dtype=np.float64)
+    out = np.empty((s_t + s_i, 3 * d))
+    q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, heads,
+                       *_rope_table(positions, dh, heads), out)
+    raw = np.empty_like(out)
+    np.matmul(txt, w.txt_wqkv, out=raw[:s_t])
+    np.matmul(img, w.img_wqkv, out=raw[s_t:])
+    rq, rk, rv = raw.reshape(s_t + s_i, 3, heads, dh).transpose(1, 0, 2, 3)
+    assert np.array_equal(bits(q), bits(per_head_rope(rq, positions)))
+    assert np.array_equal(bits(k), bits(per_head_rope(rk, positions)))
+    assert np.array_equal(bits(v), bits(rv))
+    assert all(np.shares_memory(x, out) for x in (q, k, v))
 
 
 class TestProjectQKV:

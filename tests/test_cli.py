@@ -407,6 +407,41 @@ class TestErrors:
         assert captured.out == "" and not (tmp_path / "out").exists()
         assert peak < 1024 * 1024
 
+    @pytest.mark.parametrize("command, flag", [("profile", "--dim"), ("sweep", "--dim"),
+                                               ("attend", "--dim"), ("profile", "--steps"),
+                                               ("sweep", "--steps")])
+    def test_stack_beyond_physical_memory_is_one_line(self, command, flag, tmp_path, capsys):
+        # one layer keeps 6·D² float64 weights and draws a (6, D, D) block while
+        # building, and the stack keeps a D-vector per step: at a --dim where that
+        # one draw, or a --steps where the embeddings, need twice this machine's
+        # memory, the command must refuse before drawing, not raise or get OOM-killed
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if flag == "--dim":
+            value, named = 4 * (math.isqrt(2 * physical // (6 * 8)) // 4 + 1), "dimension"
+        else:
+            value, named = 2 * physical // (64 * 8) + 1, "steps"  # at the default --dim 64
+        argv = [command, flag, str(value), "--heads", "2", "--out", str(tmp_path / "out")]
+        # 2 heads: any --dim that is a multiple of 4 has an even head dimension
+        if command == "attend":
+            config = tmp_path / "guidance.cfg"
+            config.write_text("delta_k = 1.1\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--layers", "1"] + (["--steps", "1"] if flag == "--dim" else [])
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+        assert f"{named} {value}" in err[0]
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert peak < 1024 * 1024
+
     @pytest.mark.parametrize("flag, start", [("--help", "usage: dcag"), ("--version", "dcag ")])
     def test_help_and_version_still_print_and_exit_0(self, flag, start):
         result = run_cli(flag)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from dcag import (
     JointQKV,
     LayerWeights,
     StreamBatch,
+    ToyStack,
     apply_dcag,
     attention_weights,
     decompose,
@@ -19,7 +22,10 @@ from dcag import (
     parse_config,
     project_qkv,
     rescale,
+    seeded_batch,
 )
+from dcag.guidance import _decompose, _guide, _rescale
+from conftest import bits
 from oracles import key_only_forward
 
 
@@ -231,6 +237,50 @@ class TestApplyDcag:
         expected = alpha @ v_hat
         merged = np.concatenate([result.txt, result.img])
         assert np.max(np.abs(merged - expected)) <= 1e-12
+
+    def test_copies_only_k_and_v(self):
+        # q passes through shared; k and v are copied once, then frozen in place
+        w = ToyStack.seeded(42, layers=1, steps=1, dim=64, heads=4).layers[0]
+        qkv = project_qkv(seeded_batch(42, txt_tokens=8, img_tokens=576, dim=64), w)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = apply_dcag(qkv, GuidanceConfig.identity(qkv.img_range))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # two (S, D) blocks, one (S, D) isfinite mask and 16 KiB of slack; the
+        # guidance kernels' own temporaries do not run at identity scales
+        s, d = 8 + 576, 64
+        assert peak < 2 * s * d * 8 + s * d + 16 * 1024
+        assert out.q is qkv.q
+        assert not out.k.flags.writeable and not out.v.flags.writeable
+        assert not np.shares_memory(out.k, qkv.k) and not np.shares_memory(out.v, qkv.v)
+
+
+class TestGuideKernel:
+    CONFIGS = [(1.0, 1.0, 1.0, 1.0), (1.3, 1.0, 1.0, 1.0), (1.0, 1.3, 1.0, 1.0),
+               (1.0, 1.0, 0.7, 1.0), (1.0, 1.0, 1.0, 2.0), (1.1, 1.2, 0.9, 1.05)]
+
+    @pytest.mark.parametrize("dk, dv, lk, lv", CONFIGS)
+    def test_identity_channel_keeps_its_bytes(self, rng, dk, dv, lk, lv):
+        # including a -0.0, which a compensated rescale at (1, 1) turns into +0.0
+        k, v = rng.standard_normal((2, 20, 2, 8))
+        k[6, 0, 0] = v[6, 0, 0] = -0.0
+        k0, v0 = k.copy(), v.copy()
+        _guide(k, v, 4, GuidanceConfig((4, 20), dk, dv, lk, lv))
+        assert (k.tobytes() == k0.tobytes()) == ((lk, dk) == (1.0, 1.0))
+        assert (v.tobytes() == v0.tobytes()) == ((lv, dv) == (1.0, 1.0))
+
+    @pytest.mark.parametrize("dk, dv, lk, lv", CONFIGS)
+    def test_matches_unskipped_rescale_bitwise(self, rng, dk, dv, lk, lv):
+        k, v = rng.standard_normal((2, 20, 2, 8)) * 10.0 ** rng.integers(-4, 5, (2, 20, 2, 8))
+        expected_k, expected_v = k.copy(), v.copy()
+        expected_k[4:] = _rescale(*_decompose(k[4:]), lk, dk)
+        expected_v[4:] = _rescale(*_decompose(v[4:]), lv, dv)
+        _guide(k, v, 4, GuidanceConfig((4, 20), dk, dv, lk, lv))
+        assert np.array_equal(bits(k), bits(expected_k))
+        assert np.array_equal(bits(v), bits(expected_v))
 
 
 class TestGuidedAttention:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,11 @@ from dcag import (
     sweep_csv,
     token_grid,
 )
+import dcag.harness
 from dcag.attention import _group_buffer
+from dcag.metrics import mse, psnr, ssim
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES
+from conftest import bits
 
 DIM = 16
 HEADS = 2
@@ -52,6 +56,16 @@ class TestToyStack:
             assert np.array_equal(wa.txt_wq, wb.txt_wq)
             assert np.array_equal(wa.img_wv, wb.img_wv)
         assert np.array_equal(a.step_embedding(1), b.step_embedding(1))
+
+    def test_embeddings_are_the_step_draws_read_only(self):
+        stack = ToyStack.seeded(7, layers=1, steps=4, dim=8, heads=2)
+        assert stack.embeddings.shape == (4, 8)
+        for t in range(4):
+            assert np.array_equal(bits(stack.embeddings[t]), bits(stack.step_embedding(t)))
+        with pytest.raises(ValueError):
+            stack.embeddings[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stack.seed = 8  # the embeddings could not follow it
 
     def test_layers_get_distinct_weights(self):
         stack = ToyStack.seeded(7, layers=2, steps=1, dim=8, heads=2)
@@ -262,6 +276,39 @@ class TestSweep:
         assert result.surface("mse").shape == (3, 2)
         with pytest.raises(ValueError, match="unknown metric"):
             result.surface("sharpness")
+
+    @pytest.mark.parametrize("dks, dvs", [
+        ([1.0, 1.1, 1.2], [1.0, 1.05]),  # (1, 1) reuses the reference: 6 runs
+        ([1.1, 1.2], [1.0, 1.05]),  # no (1, 1): the reference plus 4 runs
+        ([1.0], [1.0]),
+    ])
+    def test_one_run_per_point_besides_the_reference(self, stack, batch, monkeypatch,
+                                                     dks, dvs):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_stack(*args, **kwargs)
+
+        monkeypatch.setattr(dcag.harness, "run_stack", counted)
+        result = sweep(stack, batch, dks, dvs)
+        monkeypatch.undo()
+        points = len(dks) * len(dvs)
+        assert len(calls) == (points if 1.0 in dks and 1.0 in dvs else points + 1)
+
+        # the records of a loop that runs the stack once per point, bit for bit
+        reference_block = run_stack(stack, batch, GuidanceConfig.identity(RANGE))
+        lo, hi = float(token_grid(reference_block).min()), float(token_grid(reference_block).max())
+        reference = render_tokens(reference_block, lo, hi)
+        expected = []
+        for dk in dks:
+            for dv in dvs:
+                cfg = GuidanceConfig(RANGE, delta_k=dk, delta_v=dv)
+                image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
+                expected.append((dk, dv, mse(image, reference), psnr(image, reference),
+                                 ssim(image, reference)))
+        got = [(r.delta_k, r.delta_v, r.mse, r.psnr, r.ssim) for r in result.records]
+        assert np.array_equal(bits(got), bits(expected))
 
     def test_empty_value_lists_rejected(self, stack, batch):
         with pytest.raises(ValueError, match="non-empty"):
