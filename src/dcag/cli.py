@@ -23,7 +23,7 @@ from . import __version__
 from .attention import _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError
-from .guidance import GuidanceConfig, _check_range, apply_dcag, load_config
+from .guidance import GuidanceConfig, apply_dcag, load_config
 from .harness import _METRIC_NAMES, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
@@ -165,20 +165,23 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
 
 
 def _check_memory(args, heads: int = 1) -> None:
-    """Refuse a run whose float64 stack and (heads, S, S) buffers exceed physical memory.
+    """Refuse a run whose float64 stack, (heads, S, S) buffers and grid exceed physical memory.
 
     The stack keeps 6·D² weights per layer and D per step (attend builds one of
     each) and draws one more (6, D, D) while building; heads counts the most
-    (S, S) buffers held at once. Checking before anything is built turns an
-    impossible shape into one error line.
+    (S, S) buffers held at once, and a sweep adds its n_dk + n_dv grid values
+    and five floats per record. Checking first turns an impossible run into one line.
     """
     s = args.txt_tokens + args.img_tokens
     layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
-    need = (heads * s * s + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim) * 8
+    n_dk, n_dv = (getattr(args, flag, (0, 0, 0))[2] for flag in ("dk", "dv"))
+    grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
+    need = (heads * s * s + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
+            + n_dk + n_dv + 5 * n_dk * n_dv) * 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         raise ConfigError(f"the run needs {need / 2**30:.1f} GiB (tokens {s}, dimension "
-                          f"{args.dim}, layers {layers}, steps {steps}), more than the "
+                          f"{args.dim}, layers {layers}, steps {steps}{grid}), more than the "
                           f"{physical / 2**30:.1f} GiB of physical memory")
 
 
@@ -264,7 +267,7 @@ def _cmd_sweep(args) -> int:
 
 def _check_identity(qkv) -> bool:
     plain = joint_attention(qkv)
-    guided = joint_attention(apply_dcag(qkv, GuidanceConfig.identity(qkv.img_range)))
+    guided = joint_attention(apply_dcag(qkv, GuidanceConfig.identity()))
     return np.array_equal(plain.txt, guided.txt) and np.array_equal(plain.img, guided.img)
 
 
@@ -294,7 +297,7 @@ def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
 
 def _check_value_affinity(qkv) -> bool:
     def output(delta_v):
-        cfg = GuidanceConfig(qkv.img_range, delta_k=1.0, delta_v=delta_v)
+        cfg = GuidanceConfig(delta_k=1.0, delta_v=delta_v)
         out = joint_attention(apply_dcag(qkv, cfg))
         return np.concatenate([out.txt, out.img], axis=0)
 
@@ -310,14 +313,12 @@ def _check_value_affinity(qkv) -> bool:
 def _cmd_attend(args) -> int:
     # the checks hold two (S, S) logit buffers, then the artifacts H weights
     _check_memory(args, max(args.heads, 2))
-    token_range = (args.txt_tokens, args.txt_tokens + args.img_tokens)
-    cfg = load_config(args.config, default_token_range=token_range)
+    cfg = load_config(args.config)
     weights = ToyStack.seeded(args.seed, layers=1, steps=1,
                               dim=args.dim, heads=args.heads).layers[0]
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
     qkv = project_qkv(batch, weights)
-    _check_range(cfg, qkv.img_range)
     # the pass is layer 0 of a stack, so guided_layers gates it like run_stack does
     guided = apply_dcag(qkv, cfg) if cfg.applies_to(0) else qkv
     out = joint_attention(guided)
@@ -329,7 +330,7 @@ def _cmd_attend(args) -> int:
 
     checks = None
     if args.check:  # before the (H, S, S) weights exist, so the two never coexist
-        probe = GuidanceConfig(token_range, delta_k=1.1, delta_v=1.0)
+        probe = GuidanceConfig(delta_k=1.1, delta_v=1.0)
         checks = {
             "identity": _check_identity(qkv),
             "logit_scaling": _check_logit_scaling(qkv, apply_dcag(qkv, probe), probe.delta_k),
@@ -347,7 +348,8 @@ def _cmd_attend(args) -> int:
     _write_artifacts(outdir, artifacts)
     summary = {"checks": checks} if checks is not None else None
     _write_manifest(outdir, args, artifacts, summary,
-                    config={**asdict(cfg), "guided_layers": sorted(cfg.guided_layers)})
+                    config={**asdict(cfg), "token_range": qkv.img_range,
+                            "guided_layers": sorted(cfg.guided_layers)})
     print(f"guided pass complete: {len(artifacts)} artifacts in {outdir}")
     if checks is not None:
         for name, passed in checks.items():

@@ -72,7 +72,8 @@ class BiasDelta:
     deviations, and delta_residual the subtraction's rounding error:
     bias + delta + delta_residual equals the block exactly in real
     arithmetic, and reconstruct() / rescale() evaluate that sum with
-    compensation so the equality holds bit for bit in float64 too.
+    compensation so the equality holds bit for bit in float64 too, except
+    that a -0.0 comes back as +0.0 (decompose raises if deviations overflow).
     """
 
     bias: np.ndarray
@@ -80,7 +81,7 @@ class BiasDelta:
     delta_residual: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        """The decomposed block, bit for bit."""
+        """The decomposed block, bit for bit but for a -0.0, which comes back as +0.0."""
         return rescale(self, 1.0, 1.0)
 
 
@@ -126,7 +127,8 @@ def rescale(bd: BiasDelta, lam, delta_scale) -> np.ndarray:
 
     Scales must be finite and non-negative; 0 removes the corresponding
     part entirely (delta_scale=0 collapses every token onto the bias).
-    At (1, 1) the result equals the decomposed block bit for bit.
+    At (1, 1) the result equals the decomposed block bit for bit, except
+    that a -0.0 comes back as +0.0 (decompose raises on overflowing deviations).
     """
     lam = _check_scale(lam, "lam")
     delta_scale = _check_scale(delta_scale, "delta_scale")
@@ -138,13 +140,12 @@ def rescale(bd: BiasDelta, lam, delta_scale) -> np.ndarray:
 class GuidanceConfig:
     """Scales and targeting for one guidance setup.
 
-    token_range is the half-open [start, stop) slice of image tokens in the
-    joint sequence; an empty guided_layers set means every layer. The scale
-    defaults are the recommended operating point, and all-ones scales are
-    the declared identity configuration (no guidance at all).
+    Guidance applies to the image rows of whatever batch it runs on; an
+    empty guided_layers set means every layer. The scale defaults are the
+    recommended operating point, and all-ones scales are the declared
+    identity configuration (no guidance at all).
     """
 
-    token_range: tuple[int, int]
     delta_k: float = DEFAULT_DELTA_K
     delta_v: float = DEFAULT_DELTA_V
     lambda_k: float = 1.0
@@ -152,10 +153,6 @@ class GuidanceConfig:
     guided_layers: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        i_s, i_e = (int(self.token_range[0]), int(self.token_range[1]))
-        if not 0 <= i_s < i_e:
-            raise ConfigError(f"token_range must satisfy 0 <= start < stop, got {i_s}:{i_e}")
-        object.__setattr__(self, "token_range", (i_s, i_e))
         for name in ("delta_k", "delta_v", "lambda_k", "lambda_v"):
             try:
                 value = _check_scale(getattr(self, name), name)
@@ -168,20 +165,12 @@ class GuidanceConfig:
         object.__setattr__(self, "guided_layers", layers)
 
     @classmethod
-    def identity(cls, token_range) -> "GuidanceConfig":
+    def identity(cls) -> "GuidanceConfig":
         """The configuration under which guidance is a bitwise no-op."""
-        return cls(token_range=token_range, delta_k=1.0, delta_v=1.0)
+        return cls(delta_k=1.0, delta_v=1.0)
 
     def applies_to(self, layer: int) -> bool:
         return not self.guided_layers or int(layer) in self.guided_layers
-
-
-def _check_range(cfg: GuidanceConfig, img_range) -> None:
-    if tuple(cfg.token_range) != tuple(img_range):
-        raise ConfigError(
-            f"config token_range {cfg.token_range} does not match the "
-            f"image token range {tuple(img_range)}"
-        )
 
 
 def _guide(k: np.ndarray, v: np.ndarray, i_s: int, cfg: GuidanceConfig) -> None:
@@ -203,7 +192,6 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
     Returns a new JointQKV; the input is untouched. With identity scales
     the output equals the input bit for bit.
     """
-    _check_range(cfg, qkv.img_range)
     k = np.array(qkv.k)
     v = np.array(qkv.v)
     _guide(k, v, qkv.img_range[0], cfg)
@@ -225,15 +213,13 @@ def guided_attention(batch: StreamBatch, weights: LayerWeights,
 
 # --- plain-text key-value config documents ---------------------------------
 
-_CONFIG_KEYS = ("delta_k", "delta_v", "lambda_k", "lambda_v", "token_range", "guided_layers")
+_CONFIG_KEYS = ("delta_k", "delta_v", "lambda_k", "lambda_v", "guided_layers")
 
 
-def parse_config(text: str, default_token_range=None) -> GuidanceConfig:
+def parse_config(text: str) -> GuidanceConfig:
     """Parse a key-value config document; '#' starts a comment.
 
-    Omitted scale keys fall back to the GuidanceConfig defaults and an
-    omitted token_range to default_token_range (required one way or the
-    other).
+    Omitted keys fall back to the GuidanceConfig defaults.
     """
     fields: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,15 +233,7 @@ def parse_config(text: str, default_token_range=None) -> GuidanceConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key == "token_range":
-            try:
-                start, stop = value.split(":")
-                fields[key] = (int(start), int(stop))
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: token_range must be 'start:stop', got {value!r}"
-                ) from None
-        elif key == "guided_layers":
+        if key == "guided_layers":
             if value in ("all", ""):
                 fields[key] = frozenset()
             else:
@@ -271,18 +249,14 @@ def parse_config(text: str, default_token_range=None) -> GuidanceConfig:
                 fields[key] = float(value)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}") from None
-    if "token_range" not in fields:
-        if default_token_range is None:
-            raise ConfigError("config is missing token_range and no default was supplied")
-        fields["token_range"] = default_token_range
     return GuidanceConfig(**fields)
 
 
-def load_config(path, default_token_range=None) -> GuidanceConfig:
+def load_config(path) -> GuidanceConfig:
     """Read and parse a config file; a missing file is a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    return parse_config(text, default_token_range=default_token_range)
+    return parse_config(text)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import LayerWeights, StreamBatch, _attend, _group_buffer, _project, _rope_table
 from .errors import DegenerateInputError, ShapeError
-from .guidance import GuidanceConfig, _check_range, _guide
+from .guidance import GuidanceConfig, _guide
 from .metrics import mse, psnr, ssim
 from .tensors import as_tensor, check_finite
 
@@ -136,8 +136,6 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
-    if cfg is not None:
-        _check_range(cfg, (s_t, s))
     positions = np.arange(s, dtype=np.float64)
     tables = {h: _rope_table(positions, stack.dim // h, h) for h in {w.heads for w in stack.layers}}
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
@@ -230,9 +228,8 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
     dvs = [float(v) for v in dv_values]
     if not dks or not dvs:
         raise ValueError("sweep needs non-empty delta_k and delta_v value lists")
-    token_range = (batch.txt.shape[0], batch.txt.shape[0] + batch.img.shape[0])
 
-    reference_block = run_stack(stack, batch, GuidanceConfig.identity(token_range))
+    reference_block = run_stack(stack, batch, GuidanceConfig.identity())
     grid = token_grid(reference_block)
     lo, hi = float(grid.min()), float(grid.max())
     reference = render_tokens(reference_block, lo, hi)  # raises if hi == lo
@@ -243,7 +240,7 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
             if (dk, dv) == (1.0, 1.0):
                 image = reference
             else:
-                cfg = GuidanceConfig(token_range=token_range, delta_k=dk, delta_v=dv)
+                cfg = GuidanceConfig(delta_k=dk, delta_v=dv)
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
             records.append(SweepRecord(
                 delta_k=dk, delta_v=dv,

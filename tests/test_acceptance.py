@@ -38,7 +38,6 @@ DEFAULT_DIM = 64
 DEFAULT_HEADS = 4
 DEFAULT_TXT = 8
 DEFAULT_IMG = 64
-DEFAULT_RANGE = (DEFAULT_TXT, DEFAULT_TXT + DEFAULT_IMG)
 
 
 def report(number: int, message: str) -> None:
@@ -62,7 +61,7 @@ def test_c01_identity_reduction():
         batch = seeded_batch(seed, txt_tokens=DEFAULT_TXT, img_tokens=DEFAULT_IMG, dim=DEFAULT_DIM)
         weights = stack.layers[0]
         plain = guided_attention(batch, weights, None)
-        guided = guided_attention(batch, weights, GuidanceConfig.identity(DEFAULT_RANGE))
+        guided = guided_attention(batch, weights, GuidanceConfig.identity())
         assert np.array_equal(plain.txt, guided.txt)
         assert np.array_equal(plain.img, guided.img)
     elapsed = time.perf_counter() - start
@@ -76,9 +75,8 @@ def test_c02_key_only_reduction():
     rng = np.random.default_rng(202)
     batch = StreamBatch(txt=rng.standard_normal((6, 32)), img=rng.standard_normal((24, 32)))
     weights = LayerWeights(*(rng.standard_normal((6, 32, 32)) / np.sqrt(32)), heads=4)
-    token_range = (6, 30)
     for delta_k in (1.05, 1.10, 1.15, 1.20):
-        cfg = GuidanceConfig(token_range, delta_k=delta_k, delta_v=1.0, lambda_v=1.0)
+        cfg = GuidanceConfig(delta_k=delta_k, delta_v=1.0, lambda_v=1.0)
         qkv = project_qkv(batch, weights)
         guided_qkv = apply_dcag(qkv, cfg)
         assert np.array_equal(guided_qkv.v, qkv.v)
@@ -102,7 +100,7 @@ def test_c03_logit_difference_scaling():
         pre = (qkv.q.transpose(1, 0, 2) @ qkv.k.transpose(1, 2, 0)) * scale
         pre_diff = pre[:, :, i_s:, None] - pre[:, :, None, i_s:]
         for delta_k in (1.05, 1.10, 1.7):
-            cfg = GuidanceConfig((i_s, s), delta_k=delta_k, delta_v=1.0)
+            cfg = GuidanceConfig(delta_k=delta_k, delta_v=1.0)
             guided = apply_dcag(qkv, cfg)
             post = (guided.q.transpose(1, 0, 2) @ guided.k.transpose(1, 2, 0)) * scale
             post_diff = post[:, :, i_s:, None] - post[:, :, None, i_s:]
@@ -122,7 +120,7 @@ def test_c04_value_affinity():
 
         def out(dv):
             result = guided_attention(batch, weights,
-                                      GuidanceConfig((4, 16), delta_k=1.0, delta_v=dv))
+                                      GuidanceConfig(delta_k=1.0, delta_v=dv))
             return np.concatenate([result.txt, result.img])
 
         o0, o1 = out(0.0), out(1.0)
@@ -139,18 +137,17 @@ def test_c05_orthogonality():
     rng = np.random.default_rng(505)
     batch = StreamBatch(txt=rng.standard_normal((6, 32)), img=rng.standard_normal((18, 32)))
     weights = LayerWeights(*(rng.standard_normal((6, 32, 32)) / np.sqrt(32)), heads=4)
-    token_range = (6, 24)
     qkv = project_qkv(batch, weights)
 
     base_weights = attention_weights(
-        apply_dcag(qkv, GuidanceConfig(token_range, delta_k=1.2, delta_v=1.0)))
+        apply_dcag(qkv, GuidanceConfig(delta_k=1.2, delta_v=1.0)))
     for dv in (0.5, 1.15, 2.0, 3.0):
-        cfg = GuidanceConfig(token_range, delta_k=1.2, delta_v=dv)
+        cfg = GuidanceConfig(delta_k=1.2, delta_v=dv)
         assert np.array_equal(attention_weights(apply_dcag(qkv, cfg)), base_weights)
 
-    base_v = apply_dcag(qkv, GuidanceConfig(token_range, delta_k=1.0, delta_v=1.3)).v
+    base_v = apply_dcag(qkv, GuidanceConfig(delta_k=1.0, delta_v=1.3)).v
     for dk in (0.5, 1.05, 1.2, 2.0):
-        cfg = GuidanceConfig(token_range, delta_k=dk, delta_v=1.3)
+        cfg = GuidanceConfig(delta_k=dk, delta_v=1.3)
         assert np.array_equal(apply_dcag(qkv, cfg).v, base_v)
     report(5, "weights bitwise stable under delta_v; V bitwise stable under delta_k")
 

@@ -170,7 +170,7 @@ class TestSweepCommand:
 class TestAttendCommand:
     def write_config(self, tmp_path, text=""):
         path = tmp_path / "guidance.cfg"
-        path.write_text("token_range = 4:16\n" + text)
+        path.write_text(text)
         return str(path)
 
     def test_identity_config_with_checks(self, tmp_path, capsys):
@@ -214,12 +214,21 @@ class TestAttendCommand:
         assert code == 2
         assert "/nowhere/missing.cfg" in capsys.readouterr().err
 
-    def test_mismatched_token_range_is_config_error(self, tmp_path, capsys):
+    def assert_token_range_refused(self, tmp_path, capsys, text):
+        # the guided rows come from the dims, so a config may not name them at all
         path = tmp_path / "bad.cfg"
-        path.write_text("token_range = 2:9\n")
-        code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(tmp_path)])
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(out)])
         assert code == 2
-        assert "token_range" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "unknown key 'token_range'" in err[0]
+        assert captured.out == "" and not out.exists()
+
+    def test_mismatched_token_range_is_config_error(self, tmp_path, capsys):
+        self.assert_token_range_refused(tmp_path, capsys, "token_range = 2:9\n")
 
     def test_guided_layers_without_layer_0_leave_the_pass_unguided(self, tmp_path):
         subset, identity = tmp_path / "subset", tmp_path / "identity"
@@ -236,19 +245,20 @@ class TestAttendCommand:
 
     def test_mismatched_token_range_is_config_error_when_layer_0_is_unguided(
             self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("token_range = 2:9\nguided_layers = 1\n")
-        code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(tmp_path)])
-        assert code == 2
-        assert "token_range" in capsys.readouterr().err
+        self.assert_token_range_refused(tmp_path, capsys,
+                                        "guided_layers = 1\ntoken_range = 4:16\n")
 
     def test_config_without_range_uses_derived_range(self, tmp_path):
+        # the manifest records the image rows the pass guided, [S_t, S_t + S_i)
         path = tmp_path / "scales-only.cfg"
         path.write_text("delta_k = 1.2\ndelta_v = 1.0\n")
-        code = main(["attend", *FAST_ATTEND, "--config", str(path), "--out", str(tmp_path)])
-        assert code == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["parameters"]["config"]["token_range"] == [4, 16]
+        for txt, img in ((4, 12), (1, 9), (8, 5)):
+            out = tmp_path / f"{txt}-{img}"
+            code = main(["attend", "--dim", "16", "--heads", "2", "--txt-tokens", str(txt),
+                         "--img-tokens", str(img), "--config", str(path), "--out", str(out)])
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["parameters"]["config"]["token_range"] == [txt, txt + img]
 
 
     def test_logit_scaling_probe_passes_and_fails(self):
@@ -257,7 +267,7 @@ class TestAttendCommand:
             qkv = project_qkv(seeded_batch(42, txt_tokens=8, img_tokens=img_tokens, dim=64),
                               weights)
             i_s, i_e = qkv.img_range
-            guided = apply_dcag(qkv, GuidanceConfig((i_s, i_e), delta_k=1.1, delta_v=1.0))
+            guided = apply_dcag(qkv, GuidanceConfig(delta_k=1.1, delta_v=1.0))
             assert _check_logit_scaling(qkv, guided, 1.1)
             k = np.array(guided.k)
             k[i_s + 3] += 1e-7  # one guided key row off by far more than rounding
@@ -439,6 +449,26 @@ class TestErrors:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
         assert f"{named} {value}" in err[0]
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize("flag", ["--dk", "--dv"])
+    def test_grid_beyond_physical_memory_is_one_line(self, flag, tmp_path, capsys):
+        # 10^15 grid values alone are 8 PB, beyond any address space: the sweep
+        # must refuse before linspace allocates them, not raise MemoryError
+        argv = ["sweep", *FAST_SWEEP, flag, "1:2:1000000000000000", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+        grid = "1000000000000000x5" if flag == "--dk" else "5x1000000000000000"
+        assert f"grid {grid}" in err[0]
         assert captured.out == "" and not (tmp_path / "out").exists()
         assert peak < 1024 * 1024
 

@@ -167,6 +167,6 @@ def test_run_stack_output_matches_pinned_digest(layers_dk_dv):
     guided_layers, dk, dv = layers_dk_dv
     stack = ToyStack.seeded(3, layers=4, steps=3, dim=32, heads=8)
     batch = seeded_batch(3, txt_tokens=5, img_tokens=100, dim=32)
-    cfg = GuidanceConfig((5, 105), delta_k=dk, delta_v=dv, guided_layers=guided_layers)
+    cfg = GuidanceConfig(delta_k=dk, delta_v=dv, guided_layers=guided_layers)
     out = np.ascontiguousarray(run_stack(stack, batch, cfg), dtype="<f8")
     assert hashlib.sha256(out.tobytes()).hexdigest() == STACK_CASES[layers_dk_dv]

@@ -22,6 +22,7 @@ from dcag import (
     parse_config,
     project_qkv,
     rescale,
+    run_stack,
     seeded_batch,
 )
 from dcag.guidance import _decompose, _guide, _rescale
@@ -115,79 +116,81 @@ class TestRescale:
         with pytest.raises(ValueError, match="finite"):
             rescale(bd, 1.0, np.inf)
 
+    def test_identity_turns_negative_zero_positive(self):
+        # the bias of [-0.0, 0.0] is +0.0, and +0.0 + -0.0 is +0.0
+        block = np.array([[[-0.0, 1.0]], [[0.0, -1.0]]])
+        for out in (rescale(decompose(block), 1.0, 1.0), decompose(block).reconstruct()):
+            assert np.array_equal(out, block)
+            assert list(np.signbit(out).ravel()) == [False, False, False, True]
+
+    def test_overflowing_deviations_raise(self):
+        # finite tokens whose first deviation from the mean, 1.7e308 + 5.7e307, overflows
+        block = np.array([[[1.7e308]], [[-1.7e308]], [[-1.7e308]]])
+        with pytest.raises(ValueError, match="delta contains non-finite values"):
+            rescale(decompose(block), 1.0, 1.0)
+
 
 class TestGuidanceConfig:
     def test_identity_classmethod(self):
-        cfg = GuidanceConfig.identity((4, 20))
+        cfg = GuidanceConfig.identity()
         assert (cfg.delta_k, cfg.delta_v, cfg.lambda_k, cfg.lambda_v) == (1.0, 1.0, 1.0, 1.0)
 
     def test_defaults_are_recommended_point(self):
-        cfg = GuidanceConfig(token_range=(4, 20))
+        cfg = GuidanceConfig()
         assert cfg.delta_k == 1.10
         assert cfg.delta_v == 1.15
         assert cfg.lambda_k == cfg.lambda_v == 1.0
 
-    def test_bad_token_range(self):
-        with pytest.raises(ConfigError, match="token_range"):
-            GuidanceConfig(token_range=(5, 5))
-
     def test_rejects_negative_scale(self):
         with pytest.raises(ConfigError, match="non-negative"):
-            GuidanceConfig(token_range=(0, 4), delta_k=-1.0)
+            GuidanceConfig(delta_k=-1.0)
 
     def test_applies_to(self):
-        assert GuidanceConfig(token_range=(0, 4)).applies_to(17)
-        gated = GuidanceConfig(token_range=(0, 4), guided_layers=(0, 2))
+        assert GuidanceConfig().applies_to(17)
+        gated = GuidanceConfig(guided_layers=(0, 2))
         assert gated.applies_to(2)
         assert not gated.applies_to(1)
 
     def test_roundtrip_through_text(self):
         text = ("delta_k = 1.3\ndelta_v = 0.90000000000000002\nlambda_k = 1\n"
-                "lambda_v = 1.05\ntoken_range = 8:72\nguided_layers = 3,1\n")
+                "lambda_v = 1.05\nguided_layers = 3,1\n")
         assert parse_config(text) == GuidanceConfig(
-            token_range=(8, 72), delta_k=1.3, delta_v=0.9,
-            lambda_k=1.0, lambda_v=1.05, guided_layers=(3, 1))
+            delta_k=1.3, delta_v=0.9, lambda_k=1.0, lambda_v=1.05, guided_layers=(3, 1))
 
     def test_parse_defaults_and_comments(self):
-        text = "# comment only\ndelta_k = 1.2\n\ntoken_range = 0:6 # trailing\n"
+        text = "# comment only\ndelta_k = 1.2\n\nlambda_v = 0.5 # trailing\n"
         cfg = parse_config(text)
         assert cfg.delta_k == 1.2
         assert cfg.delta_v == 1.15
-        assert cfg.token_range == (0, 6)
+        assert cfg.lambda_v == 0.5
         assert cfg.guided_layers == frozenset()
-
-    def test_parse_uses_default_token_range(self):
-        cfg = parse_config("delta_k = 1.0\n", default_token_range=(2, 10))
-        assert cfg.token_range == (2, 10)
 
     def test_parse_errors(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("bogus = 1\n", default_token_range=(0, 4))
-        with pytest.raises(ConfigError, match="token_range"):
-            parse_config("token_range = nonsense\n")
-        with pytest.raises(ConfigError, match="missing token_range"):
-            parse_config("delta_k = 1.1\n")
+            parse_config("bogus = 1\n")
+        with pytest.raises(ConfigError, match="unknown key 'token_range'"):
+            parse_config("token_range = 4:16\n")  # the guided rows come from the batch
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config("delta_k = 1\ndelta_k = 2\n", default_token_range=(0, 4))
+            parse_config("delta_k = 1\ndelta_k = 2\n")
         with pytest.raises(ConfigError, match="expected 'key = value'"):
-            parse_config("delta_k 1.1\n", default_token_range=(0, 4))
+            parse_config("delta_k 1.1\n")
         with pytest.raises(ConfigError, match="guided_layers must be 'all'"):
-            parse_config("guided_layers = 1,x\n", default_token_range=(0, 4))
+            parse_config("guided_layers = 1,x\n")
         with pytest.raises(ConfigError, match="delta_k must be a number"):
-            parse_config("delta_k = abc\n", default_token_range=(0, 4))
+            parse_config("delta_k = abc\n")
         with pytest.raises(ConfigError, match="non-negative"):
-            parse_config("guided_layers = -1\n", default_token_range=(0, 4))
+            parse_config("guided_layers = -1\n")
 
     @pytest.mark.parametrize("value", ["all", ""])
     def test_parse_all_layers(self, value):
-        cfg = parse_config(f"guided_layers = {value}\n", default_token_range=(0, 4))
+        cfg = parse_config(f"guided_layers = {value}\n")
         assert cfg.guided_layers == frozenset()
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "guidance.cfg"
         path.write_text("delta_k = 1.1000000000000001\ndelta_v = 1.1499999999999999\n"
-                        "token_range = 4:16\nguided_layers = 0\n")
-        assert load_config(path) == GuidanceConfig(token_range=(4, 16), guided_layers=(0,))
+                        "guided_layers = 0\n")
+        assert load_config(path) == GuidanceConfig(guided_layers=(0,))
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.cfg"
@@ -198,37 +201,50 @@ class TestGuidanceConfig:
 class TestApplyDcag:
     def test_identity_config_is_bitwise_noop(self, rng):
         qkv = make_qkv(rng, 4, 12, 2, 8)
-        out = apply_dcag(qkv, GuidanceConfig.identity(qkv.img_range))
+        out = apply_dcag(qkv, GuidanceConfig.identity())
         assert np.array_equal(out.q, qkv.q)
         assert np.array_equal(out.k, qkv.k)
         assert np.array_equal(out.v, qkv.v)
 
     def test_key_only_leaves_v_bitwise(self, rng):
         qkv = make_qkv(rng, 4, 12, 2, 8)
-        cfg = GuidanceConfig(qkv.img_range, delta_k=1.1, delta_v=1.0)
+        cfg = GuidanceConfig(delta_k=1.1, delta_v=1.0)
         out = apply_dcag(qkv, cfg)
         assert np.array_equal(out.v, qkv.v)
         assert not np.array_equal(out.k, qkv.k)
 
     def test_text_rows_and_q_pass_through(self, rng):
         qkv = make_qkv(rng, 5, 9, 2, 8)
-        cfg = GuidanceConfig(qkv.img_range, delta_k=1.3, delta_v=1.4)
+        cfg = GuidanceConfig(delta_k=1.3, delta_v=1.4)
         out = apply_dcag(qkv, cfg)
         i_s = qkv.img_range[0]
         assert np.array_equal(out.q, qkv.q)
         assert np.array_equal(out.k[:i_s], qkv.k[:i_s])
         assert np.array_equal(out.v[:i_s], qkv.v[:i_s])
 
-    def test_range_mismatch_is_config_error(self, rng):
-        qkv = make_qkv(rng, 4, 12, 2, 8)
-        with pytest.raises(ConfigError, match="token_range"):
-            apply_dcag(qkv, GuidanceConfig(token_range=(3, 16)))
+    @pytest.mark.parametrize("s_t", [1, 8])
+    def test_one_config_guides_the_image_rows_of_any_batch(self, s_t):
+        # the config names no token range: each batch's text count places its image rows
+        cfg = GuidanceConfig(delta_k=1.1, delta_v=1.15)
+        stack = ToyStack.seeded(7, layers=1, steps=1, dim=16, heads=2)
+        batch = seeded_batch(7, txt_tokens=s_t, img_tokens=9, dim=16)
+        seen = []
+        run_stack(stack, batch, cfg, tap=lambda layer, step, *qkv: seen.extend(
+            [[x.copy() for x in qkv], qkv]))
+        # the one cell's views show its guided K and V once the run is over
+        (q, k, v), (_, k_run, v_run) = seen
+        out = apply_dcag(JointQKV(q=q, k=k, v=v, img_range=(s_t, s_t + 9)), cfg)
+        for before, after in ((k, out.k), (v, out.v), (k, k_run), (v, v_run)):
+            assert np.array_equal(bits(after[:s_t]), bits(before[:s_t]))
+            assert np.all(np.any(after[s_t:] != before[s_t:], axis=(1, 2)))
+        assert np.array_equal(bits(k_run), bits(out.k))
+        assert np.array_equal(bits(v_run), bits(out.v))
 
     def test_two_token_closed_form(self, rng):
         # delta_k = 1 keeps the weights of the unmodified K; the output is
         # then sum_j alpha_j * (bias + 2 * delta_j) over the image tokens.
         qkv = make_qkv(rng, 1, 2, 1, 4)
-        cfg = GuidanceConfig(qkv.img_range, delta_k=1.0, delta_v=2.0)
+        cfg = GuidanceConfig(delta_k=1.0, delta_v=2.0)
         result = joint_attention(apply_dcag(qkv, cfg))
         alpha = attention_weights(qkv)[0]  # unmodified K, (3, 3)
         v_img = qkv.v[1:, 0]
@@ -245,7 +261,7 @@ class TestApplyDcag:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = apply_dcag(qkv, GuidanceConfig.identity(qkv.img_range))
+            out = apply_dcag(qkv, GuidanceConfig.identity())
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -268,7 +284,7 @@ class TestGuideKernel:
         k, v = rng.standard_normal((2, 20, 2, 8))
         k[6, 0, 0] = v[6, 0, 0] = -0.0
         k0, v0 = k.copy(), v.copy()
-        _guide(k, v, 4, GuidanceConfig((4, 20), dk, dv, lk, lv))
+        _guide(k, v, 4, GuidanceConfig(dk, dv, lk, lv))
         assert (k.tobytes() == k0.tobytes()) == ((lk, dk) == (1.0, 1.0))
         assert (v.tobytes() == v0.tobytes()) == ((lv, dv) == (1.0, 1.0))
 
@@ -278,7 +294,7 @@ class TestGuideKernel:
         expected_k, expected_v = k.copy(), v.copy()
         expected_k[4:] = _rescale(*_decompose(k[4:]), lk, dk)
         expected_v[4:] = _rescale(*_decompose(v[4:]), lv, dv)
-        _guide(k, v, 4, GuidanceConfig((4, 20), dk, dv, lk, lv))
+        _guide(k, v, 4, GuidanceConfig(dk, dv, lk, lv))
         assert np.array_equal(bits(k), bits(expected_k))
         assert np.array_equal(bits(v), bits(expected_v))
 
@@ -288,7 +304,7 @@ class TestGuidedAttention:
         batch = make_batch(rng)
         w = make_weights(rng)
         plain = guided_attention(batch, w, None)
-        guided = guided_attention(batch, w, GuidanceConfig.identity((4, 16)))
+        guided = guided_attention(batch, w, GuidanceConfig.identity())
         assert np.array_equal(plain.txt, guided.txt)
         assert np.array_equal(plain.img, guided.img)
 
@@ -297,16 +313,16 @@ class TestGuidedAttention:
         w = make_weights(rng)
         qkv = project_qkv(batch, w)
         base_weights = attention_weights(
-            apply_dcag(qkv, GuidanceConfig((4, 16), delta_k=1.0, delta_v=1.0)))
+            apply_dcag(qkv, GuidanceConfig(delta_k=1.0, delta_v=1.0)))
         for dv in (0.5, 1.3, 2.0, 3.0):
             weights = attention_weights(
-                apply_dcag(qkv, GuidanceConfig((4, 16), delta_k=1.0, delta_v=dv)))
+                apply_dcag(qkv, GuidanceConfig(delta_k=1.0, delta_v=dv)))
             assert np.array_equal(weights, base_weights)
 
     def test_key_channel_leaves_v_bitwise(self, rng):
         qkv = project_qkv(make_batch(rng), make_weights(rng))
         outs = [
-            apply_dcag(qkv, GuidanceConfig((4, 16), delta_k=dk, delta_v=1.3)).v
+            apply_dcag(qkv, GuidanceConfig(delta_k=dk, delta_v=1.3)).v
             for dk in (0.7, 1.0, 1.1, 1.9)
         ]
         for v in outs[1:]:
@@ -316,7 +332,7 @@ class TestGuidedAttention:
         batch = make_batch(rng, s_t=3, s_i=10, dim=16)
         w = make_weights(rng, dim=16, heads=2)
         for dk in (1.05, 1.10, 1.20):
-            mine = guided_attention(batch, w, GuidanceConfig((3, 13), delta_k=dk, delta_v=1.0))
+            mine = guided_attention(batch, w, GuidanceConfig(delta_k=dk, delta_v=1.0))
             ref_txt, ref_img = key_only_forward(batch, w, dk)
             assert np.max(np.abs(mine.txt - ref_txt)) <= 1e-12
             assert np.max(np.abs(mine.img - ref_img)) <= 1e-12
@@ -327,7 +343,7 @@ class TestAnalyticalInvariants:
         qkv = make_qkv(rng, 6, 18, 2, 8)
         i_s, i_e = qkv.img_range
         delta_k = 1.4
-        guided = apply_dcag(qkv, GuidanceConfig(qkv.img_range, delta_k=delta_k, delta_v=1.0))
+        guided = apply_dcag(qkv, GuidanceConfig(delta_k=delta_k, delta_v=1.0))
         scale = 1.0 / np.sqrt(qkv.q.shape[2])
         pre = (qkv.q.transpose(1, 0, 2) @ qkv.k.transpose(1, 2, 0)) * scale
         post = (guided.q.transpose(1, 0, 2) @ guided.k.transpose(1, 2, 0)) * scale
@@ -340,9 +356,9 @@ class TestAnalyticalInvariants:
         # with no text tokens the bias shift is uniform per query, so the
         # softmax removes it; in joint attention this does not hold
         qkv = make_qkv(rng, 0, 10, 2, 8)
-        base = attention_weights(apply_dcag(qkv, GuidanceConfig((0, 10), delta_k=1.0, delta_v=1.0)))
+        base = attention_weights(apply_dcag(qkv, GuidanceConfig(delta_k=1.0, delta_v=1.0)))
         for lam in (0.5, 2.0, 5.0):
-            cfg = GuidanceConfig((0, 10), delta_k=1.0, delta_v=1.0, lambda_k=lam)
+            cfg = GuidanceConfig(delta_k=1.0, delta_v=1.0, lambda_k=lam)
             weights = attention_weights(apply_dcag(qkv, cfg))
             assert np.max(np.abs(weights - base)) <= 1e-12
 
@@ -351,7 +367,7 @@ class TestAnalyticalInvariants:
         w = make_weights(rng, dim=16, heads=2)
 
         def out(dv):
-            result = guided_attention(batch, w, GuidanceConfig((4, 20), delta_k=1.0, delta_v=dv))
+            result = guided_attention(batch, w, GuidanceConfig(delta_k=1.0, delta_v=dv))
             return np.concatenate([result.txt, result.img])
 
         o0, o1 = out(0.0), out(1.0)

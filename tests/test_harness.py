@@ -35,7 +35,6 @@ DIM = 16
 HEADS = 2
 TXT = 4
 IMG = 121  # 11x11 rendering, the smallest ssim can accept
-RANGE = (TXT, TXT + IMG)
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +105,11 @@ class TestToyStack:
 class TestRunStack:
     def test_identity_config_equals_no_guidance_bitwise(self, stack, batch):
         unguided = run_stack(stack, batch, None)
-        identity = run_stack(stack, batch, GuidanceConfig.identity(RANGE))
+        identity = run_stack(stack, batch, GuidanceConfig.identity())
         assert np.array_equal(unguided, identity)
 
     def test_fixed_seed_runs_are_bitwise_identical(self, stack, batch):
-        cfg = GuidanceConfig(RANGE, delta_k=1.1, delta_v=1.15)
+        cfg = GuidanceConfig(delta_k=1.1, delta_v=1.15)
         assert np.array_equal(run_stack(stack, batch, cfg), run_stack(stack, batch, cfg))
 
     def test_empty_stack_accumulates_step_embeddings(self, batch):
@@ -122,9 +121,9 @@ class TestRunStack:
         assert np.array_equal(out, expected)
 
     def test_layer_gating_via_guided_layers(self, stack, batch):
-        everywhere = GuidanceConfig(RANGE, delta_k=1.2, delta_v=1.0)
-        nowhere = GuidanceConfig(RANGE, delta_k=1.2, delta_v=1.0, guided_layers=(99,))
-        gated = GuidanceConfig(RANGE, delta_k=1.2, delta_v=1.0, guided_layers=(0,))
+        everywhere = GuidanceConfig(delta_k=1.2, delta_v=1.0)
+        nowhere = GuidanceConfig(delta_k=1.2, delta_v=1.0, guided_layers=(99,))
+        gated = GuidanceConfig(delta_k=1.2, delta_v=1.0, guided_layers=(0,))
         out_all = run_stack(stack, batch, everywhere)
         out_none = run_stack(stack, batch, nowhere)
         out_gated = run_stack(stack, batch, gated)
@@ -134,7 +133,7 @@ class TestRunStack:
         assert not np.array_equal(out_gated, out_none)
 
     def test_tap_sees_pre_guidance_blocks(self, stack, batch):
-        cfg = GuidanceConfig(RANGE, delta_k=2.0, delta_v=2.0)
+        cfg = GuidanceConfig(delta_k=2.0, delta_v=2.0)
         seen = []
         guided_seen = []
 
@@ -153,7 +152,7 @@ class TestRunStack:
 
     def test_tap_views_are_read_only(self, stack, batch):
         # the tap reads the projection buffer the loop guides in place, not a copy
-        cfg = GuidanceConfig(RANGE, delta_k=2.0, delta_v=2.0)
+        cfg = GuidanceConfig(delta_k=2.0, delta_v=2.0)
         shapes = []
 
         def tap(layer, step, q, k, v):
@@ -171,7 +170,7 @@ class TestRunStack:
     def test_every_tap_matches_public_stage_composition(self, stack, batch):
         # the stack loop must hand each tap exactly what project_qkv returns
         # for the running state, and must guide and attend like the public stages
-        cfg = GuidanceConfig(RANGE, delta_k=1.3, delta_v=0.7, guided_layers=(1,))
+        cfg = GuidanceConfig(delta_k=1.3, delta_v=0.7, guided_layers=(1,))
         seen = []
         out = run_stack(stack, batch, cfg,
                         tap=lambda layer, step, *qkv: seen.append([x.copy() for x in qkv]))
@@ -260,7 +259,7 @@ class TestSweep:
 
         dks = [1.0, 1.1, 1.2]
         for dk in dks:
-            cfg = GuidanceConfig(RANGE, delta_k=dk, delta_v=1.0)
+            cfg = GuidanceConfig(delta_k=dk, delta_v=1.0)
             assert np.array_equal(run_stack(stack, batch, cfg), key_only_output(dk))
 
     def test_csv_is_byte_stable(self, stack, batch):
@@ -297,13 +296,13 @@ class TestSweep:
         assert len(calls) == (points if 1.0 in dks and 1.0 in dvs else points + 1)
 
         # the records of a loop that runs the stack once per point, bit for bit
-        reference_block = run_stack(stack, batch, GuidanceConfig.identity(RANGE))
+        reference_block = run_stack(stack, batch, GuidanceConfig.identity())
         lo, hi = float(token_grid(reference_block).min()), float(token_grid(reference_block).max())
         reference = render_tokens(reference_block, lo, hi)
         expected = []
         for dk in dks:
             for dv in dvs:
-                cfg = GuidanceConfig(RANGE, delta_k=dk, delta_v=dv)
+                cfg = GuidanceConfig(delta_k=dk, delta_v=dv)
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
                 expected.append((dk, dv, mse(image, reference), psnr(image, reference),
                                  ssim(image, reference)))
@@ -325,7 +324,7 @@ def test_stack_attention_memory_is_one_square_buffer():
         batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=64)
         qkv = project_qkv(batch, stack.layers[0])
         s = s_t + s_i
-        cfg = GuidanceConfig((s_t, s))
+        cfg = GuidanceConfig()
         bound = max(s * s * 8, _SOFTMAX_BLOCK_BYTES)  # s * s * 8 at 1,032 tokens
         assert _group_buffer(s, heads).nbytes <= bound
         for attend in (lambda: run_stack(stack, batch), lambda: joint_attention(qkv),
