@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows, as_tensor, check_finite
+from .tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows, as_index, as_tensor, check_finite
 
 __all__ = [
     "StreamBatch",
@@ -96,6 +96,7 @@ class LayerWeights:
         for name, mat in zip(names, mats):
             if mat.shape != (d, d):
                 raise ShapeError(f"{name} must be ({d}, {d}), got {mat.shape}")
+        object.__setattr__(self, "heads", as_index(self.heads, "heads"))
         if self.heads < 1:
             raise ValueError(f"heads must be positive, got {self.heads}")
         if d % self.heads != 0:
@@ -143,8 +144,7 @@ class JointQKV:
             raise ShapeError(
                 f"q, k, v shapes disagree: {self.q.shape}, {self.k.shape}, {self.v.shape}"
             )
-        i_s, i_e = (int(self.img_range[0]), int(self.img_range[1]))
-        self.img_range = (i_s, i_e)
+        self.img_range = i_s, i_e = tuple(as_index(i, "img_range bound") for i in self.img_range)
         if not (0 <= i_s < i_e == self.q.shape[0]):
             raise ShapeError(
                 f"image range {self.img_range} inconsistent with sequence length {self.q.shape[0]}"
@@ -284,16 +284,15 @@ def attention_weights(qkv: JointQKV) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def joint_attention(qkv: JointQKV) -> StreamBatch:
-    """Scaled dot-product attention over the joint sequence.
+def joint_attention(qkv: JointQKV) -> np.ndarray:
+    """Scaled dot-product attention over the joint sequence, as a read-only (S, D) array.
 
-    Heads are re-merged and the output is split back into text and image
-    streams at the image range boundary (so the text prefix must be
-    non-empty; use attention_weights for image-only fixtures). The heads
-    share one _group_buffer; attention_weights returns the (H, S, S) tensor.
+    Heads are re-merged into one output row per token, text rows first,
+    image rows at img_range. The heads share one _group_buffer;
+    attention_weights returns the (H, S, S) tensor.
     """
     s, h, dh = qkv.q.shape
-    merged = _attend(qkv.q, qkv.k, qkv.v, _group_buffer(s, h),
-                     np.empty((s, h, dh))).reshape(s, h * dh)
-    i_s, i_e = qkv.img_range
-    return StreamBatch(txt=merged[:i_s], img=merged[i_s:i_e])
+    out = np.empty((s, h * dh))
+    _attend(qkv.q, qkv.k, qkv.v, _group_buffer(s, h), out.reshape(s, h, dh))
+    out.flags.writeable = False
+    return check_finite(out, "attention output")

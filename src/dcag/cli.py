@@ -24,7 +24,7 @@ from .attention import _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, apply_dcag, load_config
-from .harness import _METRIC_NAMES, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
+from .harness import _METRICS, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
 
@@ -60,8 +60,9 @@ def _contour_arg(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected metric=level, got {text!r}")
     metric, level = text.split("=", 1)
     metric = metric.strip()
-    if metric not in _METRIC_NAMES:
-        raise argparse.ArgumentTypeError(f"unknown metric {metric!r}, expected one of {_METRIC_NAMES}")
+    if metric not in _METRICS:
+        raise argparse.ArgumentTypeError(f"unknown metric {metric!r}, "
+                                         f"expected one of {tuple(_METRICS)}")
     try:
         return metric, float(level)
     except ValueError:
@@ -170,7 +171,7 @@ def _check_memory(args, heads: int = 1) -> None:
     The stack keeps 6·D² weights per layer and D per step (attend builds one of
     each) and draws one more (6, D, D) while building; heads counts the most
     (S, S) buffers held at once, and a sweep adds its n_dk + n_dv grid values
-    and five floats per record. Checking first turns an impossible run into one line.
+    and five floats per grid point. Checking first turns an impossible run into one line.
     """
     s = args.txt_tokens + args.img_tokens
     layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
@@ -191,18 +192,18 @@ def _cmd_profile(args) -> int:
                             dim=args.dim, heads=args.heads)
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
-    profile_k, profile_v = profile_stack(stack, batch)
-    artifacts = {"ratios.csv": ratios_csv(profile_k, profile_v)}
+    ratios_k, ratios_v = profile_stack(stack, batch)
+    artifacts = {"ratios.csv": ratios_csv(ratios_k, ratios_v)}
     if args.heatmap:
-        artifacts["ratio_k.pgm"] = heatmap_pgm(profile_k)
-        artifacts["ratio_v.pgm"] = heatmap_pgm(profile_v)
+        artifacts["ratio_k.pgm"] = heatmap_pgm(ratios_k)
+        artifacts["ratio_v.pgm"] = heatmap_pgm(ratios_v)
     try:
-        correlation = pearson(profile_k.ratios, profile_v.ratios)
+        correlation = pearson(ratios_k, ratios_v)
     except DegenerateInputError:
         correlation = None
     summary = {
-        "mean_ratio_k": float(profile_k.ratios.mean()),
-        "mean_ratio_v": float(profile_v.ratios.mean()),
+        "mean_ratio_k": float(ratios_k.mean()),
+        "mean_ratio_v": float(ratios_v.mean()),
         "pearson_r": correlation,
     }
     outdir = Path(args.out)
@@ -260,15 +261,15 @@ def _cmd_sweep(args) -> int:
         artifacts[name] = contour_text(iso_contour(result, metric, level))
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
-    _write_manifest(outdir, args, artifacts, summary={"grid_points": len(result.records)})
-    print(f"{len(result.records)} grid points written to sweep.csv")
+    points = dk_values.size * dv_values.size
+    _write_manifest(outdir, args, artifacts, summary={"grid_points": points})
+    print(f"{points} grid points written to sweep.csv")
     return 0
 
 
 def _check_identity(qkv) -> bool:
-    plain = joint_attention(qkv)
     guided = joint_attention(apply_dcag(qkv, GuidanceConfig.identity()))
-    return np.array_equal(plain.txt, guided.txt) and np.array_equal(plain.img, guided.img)
+    return np.array_equal(joint_attention(qkv), guided)
 
 
 def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
@@ -297,9 +298,7 @@ def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
 
 def _check_value_affinity(qkv) -> bool:
     def output(delta_v):
-        cfg = GuidanceConfig(delta_k=1.0, delta_v=delta_v)
-        out = joint_attention(apply_dcag(qkv, cfg))
-        return np.concatenate([out.txt, out.img], axis=0)
+        return joint_attention(apply_dcag(qkv, GuidanceConfig(delta_k=1.0, delta_v=delta_v)))
 
     o0, o1 = output(0.0), output(1.0)
     step = o1 - o0
@@ -342,7 +341,7 @@ def _cmd_attend(args) -> int:
         "v_img_pre.csv": flat(qkv.v[i_s:i_e]),
         "v_img_post.csv": flat(guided.v[i_s:i_e]),
         "attention.csv": attention_weights(guided).reshape(h * s, s),
-        "output.csv": np.concatenate([out.txt, out.img], axis=0),
+        "output.csv": out,
     }
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)

@@ -17,18 +17,20 @@ from .tensors import as_tensor
 __all__ = ["marching_squares", "iso_contour", "contour_text"]
 
 # Segment table indexed by corner bits (b00 | b10<<1 | b11<<2 | b01<<3);
-# edges are S, E, N, W of the cell. Saddle cases 5 and 10 are resolved
-# at runtime from the cell center.
+# edges are S, E, N, W of the cell. Saddle cases 5 and 10 hold two choices,
+# indexed at runtime by whether the cell-center average is at or above the level.
 _SEGMENTS = {
     0: [],
     1: [("W", "S")],
     2: [("S", "E")],
     3: [("W", "E")],
     4: [("E", "N")],
+    5: ([("W", "S"), ("E", "N")], [("S", "E"), ("W", "N")]),
     6: [("S", "N")],
     7: [("W", "N")],
     8: [("N", "W")],
     9: [("S", "N")],
+    10: ([("S", "E"), ("N", "W")], [("W", "S"), ("E", "N")]),
     11: [("E", "N")],
     12: [("W", "E")],
     13: [("S", "E")],
@@ -112,16 +114,11 @@ def marching_squares(xs, ys, values, level: float):
                 | int(above[i + 1, j + 1]) << 2
                 | int(above[i, j + 1]) << 3
             )
-            if case == 5:
+            pairs = _SEGMENTS[case]
+            if case in (5, 10):
                 center = (values[i, j] + values[i + 1, j]
                           + values[i + 1, j + 1] + values[i, j + 1]) / 4.0
-                pairs = [("S", "E"), ("W", "N")] if center >= level else [("W", "S"), ("E", "N")]
-            elif case == 10:
-                center = (values[i, j] + values[i + 1, j]
-                          + values[i + 1, j + 1] + values[i, j + 1]) / 4.0
-                pairs = [("W", "S"), ("E", "N")] if center >= level else [("S", "E"), ("N", "W")]
-            else:
-                pairs = _SEGMENTS[case]
+                pairs = pairs[bool(center >= level)]
             for edge_a, edge_b in pairs:
                 segments.append((
                     _edge_crossing(xs, ys, values, level, edge_a, i, j),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .attention import JointQKV, LayerWeights, StreamBatch, joint_attention, project_qkv
 from .errors import ConfigError, ShapeError
-from .tensors import as_tensor, check_finite
+from .tensors import as_index, as_tensor, check_finite
 
 __all__ = [
     "BiasDelta",
@@ -153,13 +153,14 @@ class GuidanceConfig:
     guided_layers: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for name in ("delta_k", "delta_v", "lambda_k", "lambda_v"):
-            try:
-                value = _check_scale(getattr(self, name), name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            object.__setattr__(self, name, value)
-        layers = frozenset(int(i) for i in self.guided_layers)
+        try:
+            for name in ("delta_k", "delta_v", "lambda_k", "lambda_v"):
+                object.__setattr__(self, name, _check_scale(getattr(self, name), name))
+            if isinstance(self.guided_layers, str):
+                raise ValueError(f"guided_layers must be layer indices, not {self.guided_layers!r}")
+            layers = frozenset(as_index(i, "guided_layers entry") for i in self.guided_layers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if any(i < 0 for i in layers):
             raise ConfigError(f"guided_layers must be non-negative, got {sorted(layers)}")
         object.__setattr__(self, "guided_layers", layers)
@@ -199,8 +200,8 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
 
 
 def guided_attention(batch: StreamBatch, weights: LayerWeights,
-                     cfg: GuidanceConfig | None = None) -> StreamBatch:
-    """One full layer forward: project, guide (when cfg is given), attend.
+                     cfg: GuidanceConfig | None = None) -> np.ndarray:
+    """One layer forward as an (S, D) array: project, guide (when cfg is given), attend.
 
     Layer gating via cfg.guided_layers is the stack runner's job; a config
     passed here is always applied.

@@ -18,7 +18,7 @@ from .attention import LayerWeights, StreamBatch, _attend, _group_buffer, _proje
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _guide
 from .metrics import mse, psnr, ssim
-from .tensors import as_tensor, check_finite
+from .tensors import as_index, as_tensor, check_finite
 
 __all__ = [
     "ToyStack",
@@ -26,7 +26,6 @@ __all__ = [
     "run_stack",
     "token_grid",
     "render_tokens",
-    "SweepRecord",
     "SweepResult",
     "sweep",
     "sweep_csv",
@@ -37,11 +36,15 @@ _WEIGHTS_KEY = 0
 _STEPS_KEY = 1
 _INPUT_KEY = 2
 
-_METRIC_NAMES = ("mse", "psnr", "ssim")
+# Every fidelity metric a sweep scores, in sweep.csv's column order. Each entry
+# looks its function up when called, so a wrapper installed on harness.mse (as
+# perfbench/tracer.py installs) sees the sweep's calls.
+_METRICS = {"mse": lambda a, b: mse(a, b), "psnr": lambda a, b: psnr(a, b),
+            "ssim": lambda a, b: ssim(a, b)}
 
 
 def _check_seed(seed) -> int:
-    seed = int(seed)
+    seed = as_index(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
@@ -65,7 +68,8 @@ class ToyStack:
 
     def __post_init__(self):
         for name, value in (("layers", tuple(self.layers)), ("seed", _check_seed(self.seed)),
-                            ("dim", int(self.dim)), ("step_count", int(self.step_count))):
+                            ("dim", as_index(self.dim, "dim")),
+                            ("step_count", as_index(self.step_count, "step_count"))):
             object.__setattr__(self, name, value)
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
@@ -84,6 +88,8 @@ class ToyStack:
     def seeded(cls, seed: int, *, layers: int, steps: int, dim: int, heads: int) -> "ToyStack":
         """Gaussian weights with std 1/sqrt(dim), one child seed per layer index."""
         seed = _check_seed(seed)
+        layers, steps, dim, heads = (as_index(value, name) for name, value in (
+            ("layers", layers), ("steps", steps), ("dim", dim), ("heads", heads)))
         if layers < 0:
             raise ValueError(f"layer count must be non-negative, got {layers}")
         if dim < 1:
@@ -100,7 +106,7 @@ class ToyStack:
                 img_wq=mats[3], img_wk=mats[4], img_wv=mats[5],
                 heads=heads,
             ))
-        return cls(layers=tuple(built), seed=seed, dim=int(dim), step_count=int(steps))
+        return cls(layers=tuple(built), seed=seed, dim=dim, step_count=steps)
 
     def step_embedding(self, step: int) -> np.ndarray:
         """Additive image-token embedding (D,) for one denoising step."""
@@ -187,33 +193,24 @@ def render_tokens(block, lo: float, hi: float) -> np.ndarray:
     return np.clip((grid - lo) / (hi - lo), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    delta_k: float
-    delta_v: float
-    mse: float
-    psnr: float
-    ssim: float
-
-
 @dataclass
 class SweepResult:
-    """Fidelity metrics over the Cartesian (delta_k, delta_v) grid.
+    """Fidelity surfaces over the Cartesian (delta_k, delta_v) grid.
 
-    records are row-major (delta_k outer, delta_v inner), each measured
-    against the rendered identity-config output.
+    surfaces maps each _METRICS name to an (n_dk, n_dv) array whose entry
+    [i, j] scores (dk_values[i], dv_values[j]) against the rendered
+    identity-config output.
     """
 
     dk_values: tuple[float, ...]
     dv_values: tuple[float, ...]
-    records: list[SweepRecord]
+    surfaces: dict[str, np.ndarray]
 
     def surface(self, metric: str) -> np.ndarray:
-        """One metric as an (n_dk, n_dv) grid over the swept values."""
-        if metric not in _METRIC_NAMES:
-            raise ValueError(f"unknown metric {metric!r}, expected one of {_METRIC_NAMES}")
-        values = np.array([getattr(r, metric) for r in self.records], dtype=np.float64)
-        return values.reshape(len(self.dk_values), len(self.dv_values))
+        """One metric's (n_dk, n_dv) surface over the swept values."""
+        if metric not in _METRICS:
+            raise ValueError(f"unknown metric {metric!r}, expected one of {tuple(_METRICS)}")
+        return self.surfaces[metric]
 
 
 def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepResult:
@@ -234,28 +231,24 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
     lo, hi = float(grid.min()), float(grid.max())
     reference = render_tokens(reference_block, lo, hi)  # raises if hi == lo
 
-    records = []
-    for dk in dks:
-        for dv in dvs:
+    surfaces = {name: np.empty((len(dks), len(dvs))) for name in _METRICS}
+    for i, dk in enumerate(dks):
+        for j, dv in enumerate(dvs):
             if (dk, dv) == (1.0, 1.0):
                 image = reference
             else:
                 cfg = GuidanceConfig(delta_k=dk, delta_v=dv)
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
-            records.append(SweepRecord(
-                delta_k=dk, delta_v=dv,
-                mse=mse(image, reference),
-                psnr=psnr(image, reference),
-                ssim=ssim(image, reference),
-            ))
-    return SweepResult(dk_values=tuple(dks), dv_values=tuple(dvs), records=records)
+            for name, metric in _METRICS.items():
+                surfaces[name][i, j] = metric(image, reference)
+    return SweepResult(dk_values=tuple(dks), dv_values=tuple(dvs), surfaces=surfaces)
 
 
 def sweep_csv(result: SweepResult) -> str:
-    """CSV rows delta_k,delta_v,mse,psnr,ssim at 17 significant digits."""
-    lines = ["delta_k,delta_v,mse,psnr,ssim"]
-    for r in result.records:
-        lines.append(
-            f"{r.delta_k:.17g},{r.delta_v:.17g},{r.mse:.17g},{r.psnr:.17g},{r.ssim:.17g}"
-        )
+    """CSV rows delta_k,delta_v then each _METRICS surface's value, row-major, 17 digits."""
+    points = [(dk, dv) for dk in result.dk_values for dv in result.dv_values]
+    scores = zip(*(result.surface(name).ravel().tolist() for name in _METRICS))
+    lines = [",".join(["delta_k", "delta_v", *_METRICS])]
+    for point, values in zip(points, scores):
+        lines.append(",".join(f"{value:.17g}" for value in (*point, *values)))
     return "\n".join(lines) + "\n"

@@ -9,8 +9,6 @@ block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
@@ -19,7 +17,6 @@ from .harness import ToyStack, run_stack
 from .tensors import as_tensor, check_finite
 
 __all__ = [
-    "RatioProfile",
     "ratio",
     "profile_stack",
     "pearson",
@@ -49,25 +46,8 @@ def ratio(block) -> float:
     return float(np.sqrt(np.sum(delta, axis=1, keepdims=True)).mean() / bias_norm)
 
 
-@dataclass
-class RatioProfile:
-    """Layer x step matrix of delta-to-bias ratios for one projection space."""
-
-    space: str
-    ratios: np.ndarray
-
-    def __post_init__(self):
-        if self.space not in ("K", "V"):
-            raise ValueError(f"space must be 'K' or 'V', got {self.space!r}")
-        self.ratios = as_tensor(self.ratios, "ratios")
-        if self.ratios.ndim != 2:
-            raise ShapeError(f"ratios must be (layers, steps), got shape {self.ratios.shape}")
-        if np.any(self.ratios < 0.0):
-            raise ValueError("ratios must be non-negative")
-
-
-def profile_stack(stack: ToyStack, batch) -> tuple[RatioProfile, RatioProfile]:
-    """Run the stack unguided and record K and V ratios at every (layer, step)."""
+def profile_stack(stack: ToyStack, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Run the stack unguided; the K and V ratios of every cell, each shaped (layers, steps)."""
     ratios_k = np.zeros((len(stack.layers), stack.step_count))
     ratios_v = np.zeros((len(stack.layers), stack.step_count))
 
@@ -78,7 +58,17 @@ def profile_stack(stack: ToyStack, batch) -> tuple[RatioProfile, RatioProfile]:
         ratios_v[layer, step] = ratio(v[s_t:])
 
     run_stack(stack, batch, tap=tap)
-    return RatioProfile("K", ratios_k), RatioProfile("V", ratios_v)
+    return ratios_k, ratios_v
+
+
+def _check_ratios(ratios, name: str) -> np.ndarray:
+    """A finite, non-negative (layers, steps) ratio map as a float64 array."""
+    ratios = as_tensor(ratios, name)
+    if ratios.ndim != 2:
+        raise ShapeError(f"{name} must be (layers, steps), got shape {ratios.shape}")
+    if np.any(ratios < 0.0):
+        raise ValueError(f"{name} must be non-negative")
+    return ratios
 
 
 def pearson(a, b) -> float:
@@ -96,29 +86,27 @@ def pearson(a, b) -> float:
     return float(np.sum(da * db) / (sa * sb))
 
 
-def ratios_csv(profile_k: RatioProfile, profile_v: RatioProfile) -> str:
-    """CSV rows layer,step,ratio_k,ratio_v in layer-major order, 17 digits."""
-    if profile_k.ratios.shape != profile_v.ratios.shape:
-        raise ShapeError(
-            f"profiles disagree in shape: {profile_k.ratios.shape} vs {profile_v.ratios.shape}"
-        )
+def ratios_csv(ratios_k, ratios_v) -> str:
+    """CSV rows layer,step,ratio_k,ratio_v of two (layers, steps) maps, layer-major, 17 digits."""
+    ratios_k, ratios_v = _check_ratios(ratios_k, "ratios_k"), _check_ratios(ratios_v, "ratios_v")
+    if ratios_k.shape != ratios_v.shape:
+        raise ShapeError(f"profiles disagree in shape: {ratios_k.shape} vs {ratios_v.shape}")
     lines = ["layer,step,ratio_k,ratio_v"]
-    layers, steps = profile_k.ratios.shape
+    layers, steps = ratios_k.shape
     for layer in range(layers):
         for step in range(steps):
             lines.append(
-                f"{layer},{step},{profile_k.ratios[layer, step]:.17g},"
-                f"{profile_v.ratios[layer, step]:.17g}"
+                f"{layer},{step},{ratios_k[layer, step]:.17g},{ratios_v[layer, step]:.17g}"
             )
     return "\n".join(lines) + "\n"
 
 
-def heatmap_pgm(profile: RatioProfile) -> str:
-    """Plain (P2) portable graymap of a profile, min-max scaled to 0..255.
+def heatmap_pgm(ratios) -> str:
+    """Plain (P2) portable graymap of a (layers, steps) ratio map, min-max scaled to 0..255.
 
-    Layers run along x, steps along y; a constant profile renders black.
+    Layers run along x, steps along y; a constant map renders black.
     """
-    r = profile.ratios
+    r = _check_ratios(ratios, "ratios")
     if r.size == 0:
         raise ValueError("cannot render an empty profile")
     layers, steps = r.shape

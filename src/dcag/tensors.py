@@ -9,6 +9,8 @@ a fixed order, so repeated runs produce bit-identical results.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ShapeError
@@ -29,6 +31,14 @@ def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
     """Coerce to a C-contiguous float64 array, rejecting non-finite values."""
     return check_finite(np.ascontiguousarray(x, dtype=np.float64), name)
+
+
+def as_index(value, name: str) -> int:
+    """An integer argument (numpy integers too) as an int; anything else raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @np.errstate(over="ignore", invalid="ignore")

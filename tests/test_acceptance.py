@@ -62,8 +62,7 @@ def test_c01_identity_reduction():
         weights = stack.layers[0]
         plain = guided_attention(batch, weights, None)
         guided = guided_attention(batch, weights, GuidanceConfig.identity())
-        assert np.array_equal(plain.txt, guided.txt)
-        assert np.array_equal(plain.img, guided.img)
+        assert np.array_equal(plain, guided)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(1, f"identity bitwise over 100 seeds in {elapsed:.2f}s")
@@ -81,9 +80,8 @@ def test_c02_key_only_reduction():
         guided_qkv = apply_dcag(qkv, cfg)
         assert np.array_equal(guided_qkv.v, qkv.v)
         mine = joint_attention(guided_qkv)
-        ref_txt, ref_img = key_only_forward(batch, weights, delta_k)
-        assert np.max(np.abs(mine.txt - ref_txt)) <= 1e-12
-        assert np.max(np.abs(mine.img - ref_img)) <= 1e-12
+        ref = np.concatenate(key_only_forward(batch, weights, delta_k))
+        assert np.max(np.abs(mine - ref)) <= 1e-12
     report(2, "V bitwise unchanged; independent Key-only agreement at 1e-12 "
               "for delta_k in {1.05, 1.10, 1.15, 1.20}")
 
@@ -119,9 +117,7 @@ def test_c04_value_affinity():
         weights = LayerWeights(*(rng.standard_normal((6, 16, 16)) / 4.0), heads=2)
 
         def out(dv):
-            result = guided_attention(batch, weights,
-                                      GuidanceConfig(delta_k=1.0, delta_v=dv))
-            return np.concatenate([result.txt, result.img])
+            return guided_attention(batch, weights, GuidanceConfig(delta_k=1.0, delta_v=dv))
 
         o0, o1 = out(0.0), out(1.0)
         step = o1 - o0
@@ -176,9 +172,8 @@ def test_c07_attention_oracle_equivalence():
         i_s = int(rng.integers(1, s))
         qkv = random_qkv(rng, s, int(h), int(dh), i_s)
         out, weights = joint_attention(qkv), attention_weights(qkv)
-        merged = np.concatenate([out.txt, out.img])
         ref_merged, ref_weights = naive_attention(qkv.q, qkv.k, qkv.v)
-        assert float(np.max(np.abs(merged - ref_merged))) <= 1e-10
+        assert float(np.max(np.abs(out - ref_merged))) <= 1e-10
         assert float(np.max(np.abs(weights - ref_weights))) <= 1e-10
     report(7, "naive-loop agreement within 1e-10 over 50 instances (S <= 64, D <= 64)")
 
@@ -203,9 +198,9 @@ def test_c08_profiler_correctness():
     profile_k, profile_v, csv_first = build_csv()
     _, _, csv_second = build_csv()
     assert csv_first.encode("utf-8") == csv_second.encode("utf-8")
-    assert profile_k.ratios.shape == (8, 6)
-    assert np.all(profile_k.ratios > 0.0)
-    assert np.all(profile_v.ratios > 0.0)
+    assert profile_k.shape == (8, 6)
+    assert np.all(profile_k > 0.0)
+    assert np.all(profile_v > 0.0)
     assert len(csv_first.splitlines()) == 1 + 48
     report(8, "two-token ratio exact, scale invariant at 1e-10, byte-stable 48-cell profile")
 
@@ -239,12 +234,10 @@ def test_c10_sweep_and_contour():
     dv_values = np.linspace(1.0, 1.2, 5)
 
     result = sweep(stack, batch, dk_values, dv_values)
-    assert len(result.records) == 25
-    origin = result.records[0]
-    assert (origin.delta_k, origin.delta_v) == (1.0, 1.0)
-    assert origin.mse == 0.0
-    assert origin.psnr == 100.0
-    assert origin.ssim == 1.0
+    assert (result.dk_values[0], result.dv_values[0]) == (1.0, 1.0)
+    for metric, exact in (("mse", 0.0), ("psnr", 100.0), ("ssim", 1.0)):
+        assert result.surface(metric).shape == (5, 5)
+        assert result.surface(metric)[0, 0] == exact
 
     xs = ys = np.linspace(1.0, 2.0, 9)
     plane = xs[:, None] + ys[None, :]

@@ -90,6 +90,22 @@ class TestTypes:
         qkv = make_qkv(rng, 0, 4, 2, 4)
         assert qkv.img_range == (0, 4)
 
+    def test_joint_qkv_range_must_be_integers(self, rng):
+        # int() would store (2.7, 5) as (2, 5)
+        blocks = {name: rng.standard_normal((5, 2, 4)) for name in ("q", "k", "v")}
+        with pytest.raises(ValueError, match="^img_range bound must be an integer, got 2.7$"):
+            JointQKV(**blocks, img_range=(2.7, 5))
+        qkv = JointQKV(**blocks, img_range=(np.int64(2), np.int32(5)))
+        assert qkv.img_range == (2, 5) and all(type(i) is int for i in qkv.img_range)
+
+    def test_layer_weights_heads_must_be_an_integer(self, rng):
+        # heads=2.0 used to pass here and fail later inside run_stack with a TypeError
+        mats = rng.standard_normal((6, 8, 8))
+        with pytest.raises(ValueError, match="^heads must be an integer, got 2.0$"):
+            LayerWeights(*mats, heads=2.0)
+        w = LayerWeights(*mats, heads=np.int64(2))
+        assert w.heads == 2 and type(w.heads) is int and w.head_dim == 4
+
 
 class TestRope:
     def test_position_zero_is_untouched(self, rng):
@@ -213,7 +229,7 @@ class TestJointAttention:
         assert np.max(np.abs(weights.sum(axis=2) - 1.0)) <= 1e-12
         assert np.all(weights >= 0.0)
         # each output row is a convex combination of the two V rows
-        merged = np.concatenate([out.txt, out.img]).reshape(2, 1, 4)
+        merged = out.reshape(2, 1, 4)
         for i in range(2):
             expected = weights[0, i, 0] * qkv.v[0, 0] + weights[0, i, 1] * qkv.v[1, 0]
             assert np.allclose(merged[i, 0], expected, rtol=0, atol=1e-15)
@@ -227,16 +243,15 @@ class TestJointAttention:
             img_range=(s_t, 8),
         )
         out = joint_attention(qkv)
-        assert np.allclose(out.txt, 1.0, rtol=0, atol=1e-12)
-        assert np.allclose(out.img, 1.0, rtol=0, atol=1e-12)
+        assert out.shape == (8, h * dh)
+        assert np.allclose(out, 1.0, rtol=0, atol=1e-12)
 
     def test_matches_naive_loop_oracle(self, rng):
         for s_t, s_i, h, dh in ((2, 6, 1, 8), (8, 24, 4, 16), (16, 48, 4, 16)):
             qkv = make_qkv(rng, s_t, s_i, h, dh)
             out, weights = joint_attention(qkv), attention_weights(qkv)
-            merged = np.concatenate([out.txt, out.img])
             ref_merged, ref_weights = naive_attention(qkv.q, qkv.k, qkv.v)
-            assert np.max(np.abs(merged - ref_merged)) <= 1e-10
+            assert np.max(np.abs(out - ref_merged)) <= 1e-10
             assert np.max(np.abs(weights - ref_weights)) <= 1e-10
 
     def test_weight_rows_sum_to_one(self, rng):
@@ -247,7 +262,7 @@ class TestJointAttention:
     def test_output_in_convex_hull_of_values(self, rng):
         qkv = make_qkv(rng, 4, 12, 2, 8)
         out = joint_attention(qkv)
-        merged = np.concatenate([out.txt, out.img]).reshape(16, 2, 8)
+        merged = out.reshape(16, 2, 8)
         lo = qkv.v.min(axis=0)
         hi = qkv.v.max(axis=0)
         assert np.all(merged >= lo - 1e-12)
@@ -258,6 +273,20 @@ class TestJointAttention:
         weights = attention_weights(qkv)
         assert weights.shape == (2, 6, 6)
         assert np.max(np.abs(weights.sum(axis=2) - 1.0)) <= 1e-12
+
+    def test_image_only_output_covers_every_token(self, rng):
+        # JointQKV accepts img_range (0, S), so joint_attention returns all S rows
+        qkv = make_qkv(rng, 0, 6, 2, 4)
+        out = joint_attention(qkv)
+        assert out.shape == (6, 8)
+        ref_merged, _ = naive_attention(qkv.q, qkv.k, qkv.v)
+        assert np.max(np.abs(out - ref_merged)) <= 1e-10
+
+    def test_output_is_read_only(self, rng):
+        out = joint_attention(make_qkv(rng, 2, 6, 2, 4))
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 1.0
 
     def test_overflowing_logits_are_rejected(self, rng):
         # q·k overflows to inf, so a row's max subtraction gives NaN weights;

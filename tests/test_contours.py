@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from dcag import ShapeError, SweepRecord, SweepResult, contour_text, iso_contour, marching_squares
+from dcag import ShapeError, SweepResult, contour_text, iso_contour, marching_squares
 from oracles import bilinear
 
 
 def surface_result(dk_values, dv_values, fn):
-    """Build a SweepResult whose mse column carries an analytic surface."""
-    records = [
-        SweepRecord(delta_k=dk, delta_v=dv, mse=fn(dk, dv), psnr=1.0, ssim=0.5)
-        for dk in dk_values
-        for dv in dv_values
-    ]
-    return SweepResult(tuple(dk_values), tuple(dv_values), records)
+    """Build a SweepResult whose mse surface is an analytic function."""
+    shape = (len(dk_values), len(dv_values))
+    surfaces = {"mse": np.array([[fn(dk, dv) for dv in dv_values] for dk in dk_values]),
+                "psnr": np.full(shape, 1.0), "ssim": np.full(shape, 0.5)}
+    return SweepResult(tuple(dk_values), tuple(dv_values), surfaces)
 
 
 class TestMarchingSquares:
@@ -22,6 +20,19 @@ class TestMarchingSquares:
         assert marching_squares(xs, ys, values, 3.0) == []
         # at the constant itself every corner counts as above: still empty
         assert marching_squares(xs, ys, values, 2.0) == []
+
+    @pytest.mark.parametrize("values, level, expected", [
+        # case 5, corners (0, 0) and (1, 1) above: a center at or above the level joins them
+        ([[1.0, 0.0], [0.0, 1.0]], 0.5, {((0.5, 0.0), (1.0, 0.5)), ((0.0, 0.5), (0.5, 1.0))}),
+        ([[1.0, 0.0], [0.0, 1.0]], 0.6, {((0.0, 0.4), (0.4, 0.0)), ((0.6, 1.0), (1.0, 0.6))}),
+        # case 10, corners (1, 0) and (0, 1) above
+        ([[0.0, 1.0], [1.0, 0.0]], 0.5, {((0.0, 0.5), (0.5, 0.0)), ((0.5, 1.0), (1.0, 0.5))}),
+        ([[0.0, 1.0], [1.0, 0.0]], 0.6, {((0.6, 0.0), (1.0, 0.4)), ((0.0, 0.6), (0.4, 1.0))}),
+    ])
+    def test_saddle_cells_follow_the_center(self, values, level, expected):
+        lines = marching_squares([0.0, 1.0], [0.0, 1.0], np.array(values), level)
+        got = {tuple(sorted((round(x, 12), round(y, 12)) for x, y in line)) for line in lines}
+        assert got == expected
 
     def test_level_outside_range_is_empty(self, rng):
         xs = ys = np.linspace(0.0, 1.0, 5)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,20 @@ class TestGuidanceConfig:
         with pytest.raises(ConfigError, match="non-negative"):
             GuidanceConfig(delta_k=-1.0)
 
+    @pytest.mark.parametrize("layers, message", [
+        ("12", "guided_layers must be layer indices, not '12'"),  # would guide layers 1 and 2
+        ({1.7}, "guided_layers entry must be an integer, got 1.7"),  # would guide layer 1
+        ((0, 2.0), "guided_layers entry must be an integer, got 2.0"),
+    ])
+    def test_rejects_non_integer_layers(self, layers, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            GuidanceConfig(guided_layers=layers)
+
+    def test_numpy_integer_layers_are_accepted(self):
+        cfg = GuidanceConfig(guided_layers=np.array([3, 1]))
+        assert cfg.guided_layers == frozenset({1, 3})
+        assert all(type(i) is int for i in cfg.guided_layers)
+
     def test_applies_to(self):
         assert GuidanceConfig().applies_to(17)
         gated = GuidanceConfig(guided_layers=(0, 2))
@@ -251,8 +266,7 @@ class TestApplyDcag:
         bias = v_img.mean(axis=0)
         v_hat = np.vstack([qkv.v[0, 0], bias + 2.0 * (v_img[0] - bias), bias + 2.0 * (v_img[1] - bias)])
         expected = alpha @ v_hat
-        merged = np.concatenate([result.txt, result.img])
-        assert np.max(np.abs(merged - expected)) <= 1e-12
+        assert np.max(np.abs(result - expected)) <= 1e-12
 
     def test_copies_only_k_and_v(self):
         # q passes through shared; k and v are copied once, then frozen in place
@@ -305,8 +319,7 @@ class TestGuidedAttention:
         w = make_weights(rng)
         plain = guided_attention(batch, w, None)
         guided = guided_attention(batch, w, GuidanceConfig.identity())
-        assert np.array_equal(plain.txt, guided.txt)
-        assert np.array_equal(plain.img, guided.img)
+        assert np.array_equal(plain, guided)
 
     def test_value_channel_leaves_weights_bitwise(self, rng):
         batch = make_batch(rng)
@@ -333,9 +346,8 @@ class TestGuidedAttention:
         w = make_weights(rng, dim=16, heads=2)
         for dk in (1.05, 1.10, 1.20):
             mine = guided_attention(batch, w, GuidanceConfig(delta_k=dk, delta_v=1.0))
-            ref_txt, ref_img = key_only_forward(batch, w, dk)
-            assert np.max(np.abs(mine.txt - ref_txt)) <= 1e-12
-            assert np.max(np.abs(mine.img - ref_img)) <= 1e-12
+            ref = np.concatenate(key_only_forward(batch, w, dk))
+            assert np.max(np.abs(mine - ref)) <= 1e-12
 
 
 class TestAnalyticalInvariants:
@@ -367,8 +379,7 @@ class TestAnalyticalInvariants:
         w = make_weights(rng, dim=16, heads=2)
 
         def out(dv):
-            result = guided_attention(batch, w, GuidanceConfig(delta_k=1.0, delta_v=dv))
-            return np.concatenate([result.txt, result.img])
+            return guided_attention(batch, w, GuidanceConfig(delta_k=1.0, delta_v=dv))
 
         o0, o1 = out(0.0), out(1.0)
         step = o1 - o0

@@ -101,6 +101,33 @@ class TestToyStack:
         with pytest.raises(ShapeError, match="layer 0 has dim 8"):
             ToyStack(layers=(layer,), seed=1, dim=16, step_count=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.9), ("layers", 1.0), ("steps", 2.7), ("dim", 8.0), ("heads", 2.0), ("seed", "1"),
+    ])
+    def test_seeded_rejects_non_integer_arguments(self, name, value):
+        # int() would truncate 1.9 to seed 1 and 2.7 to 2 steps; each fails at once instead
+        kwargs = {**dict(seed=1, layers=1, steps=2, dim=8, heads=2), name: value}
+        seed = kwargs.pop("seed")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            ToyStack.seeded(seed, **kwargs)
+
+    def test_constructor_rejects_non_integer_dim_and_steps(self):
+        with pytest.raises(ValueError, match="^dim must be an integer, got 8.0$"):
+            ToyStack(layers=(), seed=1, dim=8.0, step_count=1)
+        with pytest.raises(ValueError, match="^step_count must be an integer, got 1.5$"):
+            ToyStack(layers=(), seed=1, dim=8, step_count=1.5)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        plain = ToyStack.seeded(1, layers=2, steps=3, dim=8, heads=2)
+        numpy = ToyStack.seeded(np.int64(1), layers=np.int32(2), steps=np.uint8(3),
+                                dim=np.int64(8), heads=np.int16(2))
+        assert (numpy.seed, numpy.step_count, numpy.dim) == (1, 3, 8)
+        assert type(numpy.seed) is int and type(numpy.dim) is int
+        assert all(type(w.heads) is int and w.heads == 2 for w in numpy.layers)
+        assert np.array_equal(numpy.embeddings, plain.embeddings)
+        assert all(np.array_equal(a.txt_wqkv, b.txt_wqkv) and np.array_equal(a.img_wqkv, b.img_wqkv)
+                   for a, b in zip(numpy.layers, plain.layers))
+
 
 class TestRunStack:
     def test_identity_config_equals_no_guidance_bitwise(self, stack, batch):
@@ -186,8 +213,7 @@ class TestRunStack:
                 if cfg.applies_to(layer):
                     qkv = apply_dcag(qkv, cfg)
                 step_out = joint_attention(qkv)
-                txt = txt + step_out.txt
-                img = img + step_out.img
+                txt, img = txt + step_out[:TXT], img + step_out[TXT:]
 
         assert len(seen) == len(expected) == stack.step_count * len(stack.layers)
         for got, want in zip(seen, expected):
@@ -227,17 +253,19 @@ class TestRendering:
 class TestSweep:
     def test_grid_order_and_size(self, stack, batch):
         result = sweep(stack, batch, [1.0, 1.1, 1.2], [1.0, 1.05, 1.1])
-        assert len(result.records) == 9
-        assert [(r.delta_k, r.delta_v) for r in result.records[:4]] == [
+        assert (result.dk_values, result.dv_values) == ((1.0, 1.1, 1.2), (1.0, 1.05, 1.1))
+        assert [result.surface(name).shape for name in ("mse", "psnr", "ssim")] == [(3, 3)] * 3
+        rows = [line.split(",")[:2] for line in sweep_csv(result).splitlines()[1:]]
+        assert len(rows) == 9
+        assert [(float(dk), float(dv)) for dk, dv in rows[:4]] == [
             (1.0, 1.0), (1.0, 1.05), (1.0, 1.1), (1.1, 1.0),
         ]
 
     def test_identity_point_scores_perfectly(self, stack, batch):
         result = sweep(stack, batch, [1.0, 1.1], [1.0, 1.1])
-        origin = result.records[0]
-        assert origin.mse == 0.0
-        assert origin.psnr == PSNR_CAP_DB
-        assert origin.ssim == 1.0
+        assert result.surface("mse")[0, 0] == 0.0
+        assert result.surface("psnr")[0, 0] == PSNR_CAP_DB
+        assert result.surface("ssim")[0, 0] == 1.0
 
     def test_key_only_column_matches_key_only_wiring_bitwise(self, stack, batch):
         # a separate stack loop that only ever touches K must reproduce the
@@ -253,8 +281,7 @@ class TestSweep:
                     k = np.array(qkv.k)
                     k[i_s:i_e] = rescale(decompose(k[i_s:i_e]), 1.0, delta_k)
                     out = joint_attention(JointQKV(q=qkv.q, k=k, v=qkv.v, img_range=qkv.img_range))
-                    txt = txt + out.txt
-                    img = img + out.img
+                    txt, img = txt + out[:i_s], img + out[i_s:]
             return img
 
         dks = [1.0, 1.1, 1.2]
@@ -263,12 +290,19 @@ class TestSweep:
             assert np.array_equal(run_stack(stack, batch, cfg), key_only_output(dk))
 
     def test_csv_is_byte_stable(self, stack, batch):
-        first = sweep_csv(sweep(stack, batch, [1.0, 1.1], [1.0, 1.1]))
+        result = sweep(stack, batch, [1.0, 1.1], [1.0, 1.1])
+        first = sweep_csv(result)
         second = sweep_csv(sweep(stack, batch, [1.0, 1.1], [1.0, 1.1]))
         assert first.encode() == second.encode()
         lines = first.splitlines()
         assert lines[0] == "delta_k,delta_v,mse,psnr,ssim"
         assert len(lines) == 5
+        # the metric columns are the metric table's names in its order, and each
+        # row carries every surface's value at its point, row-major
+        assert lines[0].split(",") == ["delta_k", "delta_v", *dcag.harness._METRICS]
+        for row, (i, j) in zip(lines[1:], [(0, 0), (0, 1), (1, 0), (1, 1)]):
+            values = [float(x) for x in row.split(",")[2:]]
+            assert values == [result.surface(name)[i, j] for name in dcag.harness._METRICS]
 
     def test_surface_shape(self, stack, batch):
         result = sweep(stack, batch, [1.0, 1.1, 1.2], [1.0, 1.05])
@@ -295,19 +329,21 @@ class TestSweep:
         points = len(dks) * len(dvs)
         assert len(calls) == (points if 1.0 in dks and 1.0 in dvs else points + 1)
 
-        # the records of a loop that runs the stack once per point, bit for bit
+        # the surfaces of a loop that runs the stack once per point, bit for bit
         reference_block = run_stack(stack, batch, GuidanceConfig.identity())
         lo, hi = float(token_grid(reference_block).min()), float(token_grid(reference_block).max())
         reference = render_tokens(reference_block, lo, hi)
-        expected = []
-        for dk in dks:
-            for dv in dvs:
+        expected = {name: np.empty((len(dks), len(dvs))) for name in ("mse", "psnr", "ssim")}
+        for i, dk in enumerate(dks):
+            for j, dv in enumerate(dvs):
                 cfg = GuidanceConfig(delta_k=dk, delta_v=dv)
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
-                expected.append((dk, dv, mse(image, reference), psnr(image, reference),
-                                 ssim(image, reference)))
-        got = [(r.delta_k, r.delta_v, r.mse, r.psnr, r.ssim) for r in result.records]
-        assert np.array_equal(bits(got), bits(expected))
+                for name, metric in (("mse", mse), ("psnr", psnr), ("ssim", ssim)):
+                    expected[name][i, j] = metric(image, reference)
+        assert (result.dk_values, result.dv_values) == (tuple(dks), tuple(dvs))
+        assert sorted(result.surfaces) == sorted(expected)
+        for name, surface in expected.items():
+            assert np.array_equal(bits(result.surface(name)), bits(surface))
 
     def test_empty_value_lists_rejected(self, stack, batch):
         with pytest.raises(ValueError, match="non-empty"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dcag import (
     DegenerateInputError,
     LayerWeights,
-    RatioProfile,
     ShapeError,
     StreamBatch,
     ToyStack,
@@ -108,9 +107,8 @@ class TestProfileStack:
         stack = ToyStack.seeded(3, layers=4, steps=3, dim=16, heads=2)
         batch = seeded_batch(3, txt_tokens=4, img_tokens=9, dim=16)
         pk, pv = profile_stack(stack, batch)
-        assert pk.ratios.shape == (4, 3)
-        assert pv.ratios.shape == (4, 3)
-        assert pk.space == "K" and pv.space == "V"
+        assert pk.shape == (4, 3)
+        assert pv.shape == (4, 3)
 
     def test_single_image_token_gives_zero_ratios(self):
         # with one image token the deltas vanish identically
@@ -119,15 +117,15 @@ class TestProfileStack:
         stack = ToyStack(layers=(layer,), seed=0, dim=8, step_count=1)
         batch = StreamBatch(txt=np.ones((2, 8)), img=np.full((1, 8), 3.0))
         pk, pv = profile_stack(stack, batch)
-        assert np.array_equal(pk.ratios, np.zeros((1, 1)))
-        assert np.array_equal(pv.ratios, np.zeros((1, 1)))
+        assert np.array_equal(pk, np.zeros((1, 1)))
+        assert np.array_equal(pv, np.zeros((1, 1)))
 
     def test_all_ratios_strictly_positive(self, rng):
         stack = ToyStack.seeded(42, layers=4, steps=3, dim=16, heads=2)
         batch = seeded_batch(42, txt_tokens=4, img_tokens=16, dim=16)
         pk, pv = profile_stack(stack, batch)
-        assert np.all(pk.ratios > 0.0)
-        assert np.all(pv.ratios > 0.0)
+        assert np.all(pk > 0.0)
+        assert np.all(pv > 0.0)
 
     def test_matches_from_scratch_recomputation(self):
         stack = ToyStack.seeded(11, layers=3, steps=2, dim=16, heads=2)
@@ -146,8 +144,8 @@ class TestProfileStack:
                 target[layer, step] = per_token.mean() / np.linalg.norm(mean)
 
         run_stack(stack, batch, None, tap=recompute)
-        assert np.max(np.abs(pk.ratios - expected_k)) <= 1e-12
-        assert np.max(np.abs(pv.ratios - expected_v)) <= 1e-12
+        assert np.max(np.abs(pk - expected_k)) <= 1e-12
+        assert np.max(np.abs(pv - expected_v)) <= 1e-12
 
 
 def profile_peak(layers: int) -> int:
@@ -175,8 +173,8 @@ def test_profile_memory_is_one_square_buffer_at_any_depth():
 
 class TestArtifacts:
     def make_profiles(self):
-        k = RatioProfile("K", np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        v = RatioProfile("V", np.array([[0.5, 1.5], [2.5, 3.5], [4.5, 5.5]]))
+        k = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        v = np.array([[0.5, 1.5], [2.5, 3.5], [4.5, 5.5]])
         return k, v
 
     def test_csv_layout(self):
@@ -190,8 +188,8 @@ class TestArtifacts:
 
     def test_csv_17_digit_roundtrip(self):
         value = 1.0 / 3.0
-        k = RatioProfile("K", np.array([[value]]))
-        v = RatioProfile("V", np.array([[2.0 * value]]))
+        k = np.array([[value]])
+        v = np.array([[2.0 * value]])
         row = ratios_csv(k, v).splitlines()[1].split(",")
         assert float(row[2]) == value
         assert float(row[3]) == 2.0 * value
@@ -206,11 +204,17 @@ class TestArtifacts:
         assert text[4].split() == ["51", "153", "255"]
 
     def test_constant_profile_renders_black(self):
-        text = heatmap_pgm(RatioProfile("V", np.full((2, 2), 3.0))).splitlines()
+        text = heatmap_pgm(np.full((2, 2), 3.0)).splitlines()
         assert text[3].split() == ["0", "0"]
 
     def test_ratio_profile_validation(self):
-        with pytest.raises(ValueError, match="space"):
-            RatioProfile("Q", np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="non-negative"):
-            RatioProfile("K", np.array([[-1.0]]))
+        # ratios_csv and heatmap_pgm share one check: a finite, non-negative 2-D map
+        good, negative = np.ones((1, 1)), np.array([[-1.0]])
+        with pytest.raises(ValueError, match="ratios_v must be non-negative"):
+            ratios_csv(good, negative)
+        with pytest.raises(ValueError, match="ratios must be non-negative"):
+            heatmap_pgm(negative)
+        with pytest.raises(ShapeError, match=r"ratios_k must be \(layers, steps\)"):
+            ratios_csv(np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            heatmap_pgm(np.array([[np.nan]]))
