@@ -346,8 +346,10 @@ def _cmd_attend(args) -> int:
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
     summary = {"checks": checks} if checks is not None else None
+    # lambda_k and lambda_v record the bias scale the pass used, which is always 1
     _write_manifest(outdir, args, artifacts, summary,
-                    config={**asdict(cfg), "token_range": qkv.img_range,
+                    config={**asdict(cfg), "lambda_k": 1.0, "lambda_v": 1.0,
+                            "token_range": qkv.img_range,
                             "guided_layers": sorted(cfg.guided_layers)})
     print(f"guided pass complete: {len(artifacts)} artifacts in {outdir}")
     if checks is not None:

@@ -82,7 +82,7 @@ class BiasDelta:
 
     def reconstruct(self) -> np.ndarray:
         """The decomposed block, bit for bit but for a -0.0, which comes back as +0.0."""
-        return rescale(self, 1.0, 1.0)
+        return rescale(self, 1.0)
 
 
 def _bias_delta(block: np.ndarray):
@@ -98,11 +98,11 @@ def _decompose(block: np.ndarray):
     return bias, delta, _sum_error(block, -bias, delta)
 
 
-def _rescale(bias, delta, residual, lam: float, delta_scale: float) -> np.ndarray:
-    """lam * bias + delta_scale * (delta + residual), compensated."""
-    a, b = lam * bias, delta_scale * delta
-    total = a + b
-    carry = _sum_error(a, b, total)
+def _rescale(bias, delta, residual, delta_scale: float) -> np.ndarray:
+    """bias + delta_scale * (delta + residual), compensated."""
+    b = delta_scale * delta
+    total = bias + b
+    carry = _sum_error(bias, b, total)
     carry += np.multiply(delta_scale, residual, out=b)  # b is spent: reuse it
     total += carry
     return total
@@ -122,17 +122,15 @@ def decompose(block) -> BiasDelta:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def rescale(bd: BiasDelta, lam, delta_scale) -> np.ndarray:
-    """Recombine a decomposition as lam * bias + delta_scale * delta.
+def rescale(bd: BiasDelta, delta_scale) -> np.ndarray:
+    """Recombine a decomposition as bias + delta_scale * delta.
 
-    Scales must be finite and non-negative; 0 removes the corresponding
-    part entirely (delta_scale=0 collapses every token onto the bias).
-    At (1, 1) the result equals the decomposed block bit for bit, except
+    The scale must be finite and non-negative; 0 collapses every token onto
+    the bias. At 1 the result equals the decomposed block bit for bit, except
     that a -0.0 comes back as +0.0 (decompose raises on overflowing deviations).
     """
-    lam = _check_scale(lam, "lam")
     delta_scale = _check_scale(delta_scale, "delta_scale")
-    return check_finite(_rescale(bd.bias, bd.delta, bd.delta_residual, lam, delta_scale),
+    return check_finite(_rescale(bd.bias, bd.delta, bd.delta_residual, delta_scale),
                         "rescaled block")
 
 
@@ -148,13 +146,11 @@ class GuidanceConfig:
 
     delta_k: float = DEFAULT_DELTA_K
     delta_v: float = DEFAULT_DELTA_V
-    lambda_k: float = 1.0
-    lambda_v: float = 1.0
     guided_layers: frozenset[int] = frozenset()
 
     def __post_init__(self):
         try:
-            for name in ("delta_k", "delta_v", "lambda_k", "lambda_v"):
+            for name in ("delta_k", "delta_v"):
                 object.__setattr__(self, name, _check_scale(getattr(self, name), name))
             if isinstance(self.guided_layers, str):
                 raise ValueError(f"guided_layers must be layer indices, not {self.guided_layers!r}")
@@ -171,18 +167,19 @@ class GuidanceConfig:
         return cls(delta_k=1.0, delta_v=1.0)
 
     def applies_to(self, layer: int) -> bool:
-        return not self.guided_layers or int(layer) in self.guided_layers
+        layer = as_index(layer, "layer")
+        return not self.guided_layers or layer in self.guided_layers
 
 
 def _guide(k: np.ndarray, v: np.ndarray, i_s: int, cfg: GuidanceConfig) -> None:
     """Rescale the image rows k[i_s:] and v[i_s:] of (S, H, d_h) blocks in place.
 
-    A channel at (lambda, delta) = (1, 1) is left alone, which is what _rescale
-    gives bit for bit, except that it turns -0.0 into +0.0 and fails on overflow.
+    A channel at delta = 1 is left alone, which is what _rescale gives bit
+    for bit, except that it turns -0.0 into +0.0 and fails on overflow.
     """
-    for x, lam, scale in ((k, cfg.lambda_k, cfg.delta_k), (v, cfg.lambda_v, cfg.delta_v)):
-        if lam != 1.0 or scale != 1.0:
-            x[i_s:] = _rescale(*_decompose(x[i_s:]), lam, scale)
+    for x, scale in ((k, cfg.delta_k), (v, cfg.delta_v)):
+        if scale != 1.0:
+            x[i_s:] = _rescale(*_decompose(x[i_s:]), scale)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -214,7 +211,7 @@ def guided_attention(batch: StreamBatch, weights: LayerWeights,
 
 # --- plain-text key-value config documents ---------------------------------
 
-_CONFIG_KEYS = ("delta_k", "delta_v", "lambda_k", "lambda_v", "guided_layers")
+_CONFIG_KEYS = ("delta_k", "delta_v", "guided_layers")
 
 
 def parse_config(text: str) -> GuidanceConfig:

@@ -57,7 +57,8 @@ class ToyStack:
     Fully determined by (seed, layer count, step count, shape parameters):
     two stacks built from equal parameters are bitwise identical, and so is
     everything computed from them. The instance is frozen, and embeddings
-    holds every step_embedding, drawn once, read-only, shaped (steps, D).
+    holds the additive image-token embedding of every denoising step, each
+    drawn once from its own child seed, read-only, shaped (steps, D).
     """
 
     layers: tuple[LayerWeights, ...]
@@ -80,7 +81,8 @@ class ToyStack:
                 raise ShapeError(f"layer {i} has dim {w.dim}, stack expects {self.dim}")
         embeddings = np.empty((self.step_count, self.dim))
         for t in range(self.step_count):
-            embeddings[t] = self.step_embedding(t)
+            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(_STEPS_KEY, t)))
+            embeddings[t] = rng.standard_normal(self.dim)
         embeddings.flags.writeable = False
         object.__setattr__(self, "embeddings", embeddings)
 
@@ -108,14 +110,11 @@ class ToyStack:
             ))
         return cls(layers=tuple(built), seed=seed, dim=dim, step_count=steps)
 
-    def step_embedding(self, step: int) -> np.ndarray:
-        """Additive image-token embedding (D,) for one denoising step."""
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(_STEPS_KEY, int(step))))
-        return rng.standard_normal(self.dim)
-
 
 def seeded_batch(seed: int, *, txt_tokens: int, img_tokens: int, dim: int) -> StreamBatch:
     """Standard-normal StreamBatch drawn from the input stream of `seed`."""
+    txt_tokens, img_tokens, dim = (as_index(value, name) for name, value in (
+        ("txt_tokens", txt_tokens), ("img_tokens", img_tokens), ("dim", dim)))
     rng = np.random.default_rng(np.random.SeedSequence(_check_seed(seed), spawn_key=(_INPUT_KEY,)))
     return StreamBatch(
         txt=rng.standard_normal((txt_tokens, dim)),

@@ -75,7 +75,7 @@ def test_c02_key_only_reduction():
     batch = StreamBatch(txt=rng.standard_normal((6, 32)), img=rng.standard_normal((24, 32)))
     weights = LayerWeights(*(rng.standard_normal((6, 32, 32)) / np.sqrt(32)), heads=4)
     for delta_k in (1.05, 1.10, 1.15, 1.20):
-        cfg = GuidanceConfig(delta_k=delta_k, delta_v=1.0, lambda_v=1.0)
+        cfg = GuidanceConfig(delta_k=delta_k, delta_v=1.0)
         qkv = project_qkv(batch, weights)
         guided_qkv = apply_dcag(qkv, cfg)
         assert np.array_equal(guided_qkv.v, qkv.v)

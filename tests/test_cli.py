@@ -214,8 +214,7 @@ class TestAttendCommand:
         assert code == 2
         assert "/nowhere/missing.cfg" in capsys.readouterr().err
 
-    def assert_token_range_refused(self, tmp_path, capsys, text):
-        # the guided rows come from the dims, so a config may not name them at all
+    def assert_key_refused(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         out = tmp_path / "out"
@@ -224,11 +223,17 @@ class TestAttendCommand:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert "unknown key 'token_range'" in err[0]
+        assert f"unknown key '{key}'" in err[0]
         assert captured.out == "" and not out.exists()
 
     def test_mismatched_token_range_is_config_error(self, tmp_path, capsys):
-        self.assert_token_range_refused(tmp_path, capsys, "token_range = 2:9\n")
+        # the guided rows come from the dims, so a config may not name them at all
+        self.assert_key_refused(tmp_path, capsys, "token_range = 2:9\n", "token_range")
+
+    @pytest.mark.parametrize("key", ["lambda_k", "lambda_v"])
+    def test_bias_scale_is_config_error(self, tmp_path, capsys, key):
+        # guidance scales only the deviations, so a config may not name a bias scale
+        self.assert_key_refused(tmp_path, capsys, f"delta_k = 1.1\n{key} = 1\n", key)
 
     def test_guided_layers_without_layer_0_leave_the_pass_unguided(self, tmp_path):
         subset, identity = tmp_path / "subset", tmp_path / "identity"
@@ -245,8 +250,8 @@ class TestAttendCommand:
 
     def test_mismatched_token_range_is_config_error_when_layer_0_is_unguided(
             self, tmp_path, capsys):
-        self.assert_token_range_refused(tmp_path, capsys,
-                                        "guided_layers = 1\ntoken_range = 4:16\n")
+        self.assert_key_refused(tmp_path, capsys, "guided_layers = 1\ntoken_range = 4:16\n",
+                                "token_range")
 
     def test_config_without_range_uses_derived_range(self, tmp_path):
         # the manifest records the image rows the pass guided, [S_t, S_t + S_i)
@@ -257,8 +262,9 @@ class TestAttendCommand:
             code = main(["attend", "--dim", "16", "--heads", "2", "--txt-tokens", str(txt),
                          "--img-tokens", str(img), "--config", str(path), "--out", str(out)])
             assert code == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["parameters"]["config"]["token_range"] == [txt, txt + img]
+            config = json.loads((out / "manifest.json").read_text())["parameters"]["config"]
+            assert config["token_range"] == [txt, txt + img]
+            assert (config["lambda_k"], config["lambda_v"]) == (1.0, 1.0)  # the bias is unscaled
 
 
     def test_logit_scaling_probe_passes_and_fails(self):

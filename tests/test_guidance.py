@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -82,7 +83,7 @@ class TestDecompose:
     def test_reconstruction_exact_for_arbitrary_blocks(self, block):
         bd = decompose(block)
         assert np.array_equal(bd.reconstruct(), block)
-        assert np.array_equal(rescale(bd, 1.0, 1.0), block)
+        assert np.array_equal(rescale(bd, 1.0), block)
 
     def test_single_token_decomposes_to_itself(self, rng):
         block = rng.standard_normal((1, 2, 4))
@@ -98,29 +99,38 @@ class TestDecompose:
 class TestRescale:
     def test_identity_scales_reconstruct_bitwise(self, rng):
         block = rng.standard_normal((24, 2, 8))
-        assert np.array_equal(rescale(decompose(block), 1.0, 1.0), block)
+        assert np.array_equal(rescale(decompose(block), 1.0), block)
 
     def test_zero_delta_scale_collapses_to_bias(self, rng):
         bd = decompose(rng.standard_normal((10, 2, 4)))
-        out = rescale(bd, 1.0, 0.0)
+        out = rescale(bd, 0.0)
         assert np.array_equal(out, np.broadcast_to(bd.bias, out.shape))
 
     def test_hand_case_delta_two(self):
         block = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-        out = rescale(decompose(block), 1.0, 2.0)
+        out = rescale(decompose(block), 2.0)
         assert np.array_equal(out, np.array([[[1.5, -0.5]], [[-0.5, 1.5]]]))
+
+    @pytest.mark.parametrize("scale, expected", [
+        (0.0, [[[0.5, 0.5]], [[0.5, 0.5]]]),
+        (1.0, [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    ], ids=["zero", "one"])
+    def test_hand_case_delta_zero_and_one(self, scale, expected):
+        # the block of test_hand_case_delta_two: bias (0.5, 0.5), deltas +-(0.5, -0.5)
+        out = rescale(decompose(np.array([[[1.0, 0.0]], [[0.0, 1.0]]])), scale)
+        assert np.array_equal(bits(out), bits(np.array(expected)))
 
     def test_rejects_bad_scales(self, rng):
         bd = decompose(rng.standard_normal((4, 1, 2)))
         with pytest.raises(ValueError, match="non-negative"):
-            rescale(bd, -0.5, 1.0)
+            rescale(bd, -0.5)
         with pytest.raises(ValueError, match="finite"):
-            rescale(bd, 1.0, np.inf)
+            rescale(bd, np.inf)
 
     def test_identity_turns_negative_zero_positive(self):
         # the bias of [-0.0, 0.0] is +0.0, and +0.0 + -0.0 is +0.0
         block = np.array([[[-0.0, 1.0]], [[0.0, -1.0]]])
-        for out in (rescale(decompose(block), 1.0, 1.0), decompose(block).reconstruct()):
+        for out in (rescale(decompose(block), 1.0), decompose(block).reconstruct()):
             assert np.array_equal(out, block)
             assert list(np.signbit(out).ravel()) == [False, False, False, True]
 
@@ -128,19 +138,16 @@ class TestRescale:
         # finite tokens whose first deviation from the mean, 1.7e308 + 5.7e307, overflows
         block = np.array([[[1.7e308]], [[-1.7e308]], [[-1.7e308]]])
         with pytest.raises(ValueError, match="delta contains non-finite values"):
-            rescale(decompose(block), 1.0, 1.0)
+            rescale(decompose(block), 1.0)
 
 
 class TestGuidanceConfig:
     def test_identity_classmethod(self):
         cfg = GuidanceConfig.identity()
-        assert (cfg.delta_k, cfg.delta_v, cfg.lambda_k, cfg.lambda_v) == (1.0, 1.0, 1.0, 1.0)
+        assert (cfg.delta_k, cfg.delta_v) == (1.0, 1.0)
 
     def test_defaults_are_recommended_point(self):
-        cfg = GuidanceConfig()
-        assert cfg.delta_k == 1.10
-        assert cfg.delta_v == 1.15
-        assert cfg.lambda_k == cfg.lambda_v == 1.0
+        assert dataclasses.astuple(GuidanceConfig()) == (1.10, 1.15, frozenset())
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ConfigError, match="non-negative"):
@@ -165,26 +172,35 @@ class TestGuidanceConfig:
         gated = GuidanceConfig(guided_layers=(0, 2))
         assert gated.applies_to(2)
         assert not gated.applies_to(1)
+        assert gated.applies_to(np.int64(2))
+
+    @pytest.mark.parametrize("config", [GuidanceConfig(), GuidanceConfig(guided_layers={1})],
+                             ids=["every_layer", "gated"])
+    def test_applies_to_rejects_non_integer_layers(self, config):
+        # 1.7 would be read as layer 1
+        with pytest.raises(ValueError, match=r"^layer must be an integer, got 1\.7$"):
+            config.applies_to(1.7)
 
     def test_roundtrip_through_text(self):
-        text = ("delta_k = 1.3\ndelta_v = 0.90000000000000002\nlambda_k = 1\n"
-                "lambda_v = 1.05\nguided_layers = 3,1\n")
-        assert parse_config(text) == GuidanceConfig(
-            delta_k=1.3, delta_v=0.9, lambda_k=1.0, lambda_v=1.05, guided_layers=(3, 1))
+        text = "delta_k = 1.3\ndelta_v = 0.90000000000000002\nguided_layers = 3,1\n"
+        assert parse_config(text) == GuidanceConfig(delta_k=1.3, delta_v=0.9, guided_layers=(3, 1))
 
     def test_parse_defaults_and_comments(self):
-        text = "# comment only\ndelta_k = 1.2\n\nlambda_v = 0.5 # trailing\n"
+        text = "# comment only\ndelta_k = 1.2\n\ndelta_v = 0.5 # trailing\n"
         cfg = parse_config(text)
         assert cfg.delta_k == 1.2
-        assert cfg.delta_v == 1.15
-        assert cfg.lambda_v == 0.5
+        assert cfg.delta_v == 0.5
         assert cfg.guided_layers == frozenset()
+        assert parse_config("delta_k = 1.2\n").delta_v == 1.15
 
     def test_parse_errors(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("bogus = 1\n")
         with pytest.raises(ConfigError, match="unknown key 'token_range'"):
             parse_config("token_range = 4:16\n")  # the guided rows come from the batch
+        for key in ("lambda_k", "lambda_v"):  # the bias is never rescaled
+            with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$"):
+                parse_config(f"delta_k = 1.1\n{key} = 1\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("delta_k = 1\ndelta_k = 2\n")
         with pytest.raises(ConfigError, match="expected 'key = value'"):
@@ -289,26 +305,26 @@ class TestApplyDcag:
 
 
 class TestGuideKernel:
-    CONFIGS = [(1.0, 1.0, 1.0, 1.0), (1.3, 1.0, 1.0, 1.0), (1.0, 1.3, 1.0, 1.0),
-               (1.0, 1.0, 0.7, 1.0), (1.0, 1.0, 1.0, 2.0), (1.1, 1.2, 0.9, 1.05)]
+    # both channels skipped, K only guided, V only guided, both guided
+    CONFIGS = [(1.0, 1.0), (1.3, 1.0), (1.0, 1.3), (1.1, 1.2)]
 
-    @pytest.mark.parametrize("dk, dv, lk, lv", CONFIGS)
-    def test_identity_channel_keeps_its_bytes(self, rng, dk, dv, lk, lv):
-        # including a -0.0, which a compensated rescale at (1, 1) turns into +0.0
+    @pytest.mark.parametrize("dk, dv", CONFIGS)
+    def test_identity_channel_keeps_its_bytes(self, rng, dk, dv):
+        # including a -0.0, which a compensated rescale at delta = 1 turns into +0.0
         k, v = rng.standard_normal((2, 20, 2, 8))
         k[6, 0, 0] = v[6, 0, 0] = -0.0
         k0, v0 = k.copy(), v.copy()
-        _guide(k, v, 4, GuidanceConfig(dk, dv, lk, lv))
-        assert (k.tobytes() == k0.tobytes()) == ((lk, dk) == (1.0, 1.0))
-        assert (v.tobytes() == v0.tobytes()) == ((lv, dv) == (1.0, 1.0))
+        _guide(k, v, 4, GuidanceConfig(dk, dv))
+        assert (k.tobytes() == k0.tobytes()) == (dk == 1.0)
+        assert (v.tobytes() == v0.tobytes()) == (dv == 1.0)
 
-    @pytest.mark.parametrize("dk, dv, lk, lv", CONFIGS)
-    def test_matches_unskipped_rescale_bitwise(self, rng, dk, dv, lk, lv):
+    @pytest.mark.parametrize("dk, dv", CONFIGS)
+    def test_matches_unskipped_rescale_bitwise(self, rng, dk, dv):
         k, v = rng.standard_normal((2, 20, 2, 8)) * 10.0 ** rng.integers(-4, 5, (2, 20, 2, 8))
         expected_k, expected_v = k.copy(), v.copy()
-        expected_k[4:] = _rescale(*_decompose(k[4:]), lk, dk)
-        expected_v[4:] = _rescale(*_decompose(v[4:]), lv, dv)
-        _guide(k, v, 4, GuidanceConfig(dk, dv, lk, lv))
+        expected_k[4:] = _rescale(*_decompose(k[4:]), dk)
+        expected_v[4:] = _rescale(*_decompose(v[4:]), dv)
+        _guide(k, v, 4, GuidanceConfig(dk, dv))
         assert np.array_equal(bits(k), bits(expected_k))
         assert np.array_equal(bits(v), bits(expected_v))
 
@@ -363,16 +379,6 @@ class TestAnalyticalInvariants:
         post_diff = post[:, :, i_s:i_e, None] - post[:, :, None, i_s:i_e]
         target = delta_k * pre_diff
         assert np.max(np.abs(post_diff - target)) <= 1e-10 * max(1.0, float(np.max(np.abs(target))))
-
-    def test_lambda_k_cancels_in_image_only_attention(self, rng):
-        # with no text tokens the bias shift is uniform per query, so the
-        # softmax removes it; in joint attention this does not hold
-        qkv = make_qkv(rng, 0, 10, 2, 8)
-        base = attention_weights(apply_dcag(qkv, GuidanceConfig(delta_k=1.0, delta_v=1.0)))
-        for lam in (0.5, 2.0, 5.0):
-            cfg = GuidanceConfig(delta_k=1.0, delta_v=1.0, lambda_k=lam)
-            weights = attention_weights(apply_dcag(qkv, cfg))
-            assert np.max(np.abs(weights - base)) <= 1e-12
 
     def test_output_affine_in_delta_v(self, rng):
         batch = make_batch(rng, s_t=4, s_i=16, dim=16)

@@ -54,17 +54,25 @@ class TestToyStack:
         for wa, wb in zip(a.layers, b.layers):
             assert np.array_equal(wa.txt_wq, wb.txt_wq)
             assert np.array_equal(wa.img_wv, wb.img_wv)
-        assert np.array_equal(a.step_embedding(1), b.step_embedding(1))
+        assert np.array_equal(bits(a.embeddings), bits(b.embeddings))
 
     def test_embeddings_are_the_step_draws_read_only(self):
         stack = ToyStack.seeded(7, layers=1, steps=4, dim=8, heads=2)
         assert stack.embeddings.shape == (4, 8)
-        for t in range(4):
-            assert np.array_equal(bits(stack.embeddings[t]), bits(stack.step_embedding(t)))
+        for t in range(4):  # step t draws from child seed (1, t) of the stack's seed
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1, t)))
+            assert np.array_equal(bits(stack.embeddings[t]), bits(rng.standard_normal(8)))
         with pytest.raises(ValueError):
             stack.embeddings[0, 0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             stack.seed = 8  # the embeddings could not follow it
+
+    def test_embeddings_are_the_one_step_accessor(self):
+        # a float step index is an error, not a truncated step
+        stack = ToyStack.seeded(7, layers=1, steps=3, dim=8, heads=2)
+        assert not hasattr(stack, "step_embedding")
+        with pytest.raises(IndexError):
+            stack.embeddings[1.9]
 
     def test_layers_get_distinct_weights(self):
         stack = ToyStack.seeded(7, layers=2, steps=1, dim=8, heads=2)
@@ -129,6 +137,24 @@ class TestToyStack:
                    for a, b in zip(numpy.layers, plain.layers))
 
 
+class TestSeededBatch:
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.9), ("txt_tokens", 2.0), ("img_tokens", 4.5), ("dim", 8.0),
+    ])
+    def test_rejects_non_integer_arguments(self, name, value):
+        kwargs = {**dict(seed=1, txt_tokens=2, img_tokens=4, dim=8), name: value}
+        seed = kwargs.pop("seed")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            seeded_batch(seed, **kwargs)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        plain = seeded_batch(1, txt_tokens=2, img_tokens=4, dim=8)
+        numpy = seeded_batch(np.int64(1), txt_tokens=np.int32(2), img_tokens=np.uint8(4),
+                             dim=np.int16(8))
+        assert np.array_equal(bits(numpy.txt), bits(plain.txt))
+        assert np.array_equal(bits(numpy.img), bits(plain.img))
+
+
 class TestRunStack:
     def test_identity_config_equals_no_guidance_bitwise(self, stack, batch):
         unguided = run_stack(stack, batch, None)
@@ -144,7 +170,7 @@ class TestRunStack:
         out = run_stack(stack, batch, None)
         expected = np.array(batch.img)
         for t in range(3):
-            expected = expected + stack.step_embedding(t)
+            expected = expected + stack.embeddings[t]
         assert np.array_equal(out, expected)
 
     def test_layer_gating_via_guided_layers(self, stack, batch):
@@ -172,7 +198,7 @@ class TestRunStack:
         assert seen[:3] == [(0, 0), (0, 1), (1, 0)]
         # first tap equals the projection of the raw input, untouched by guidance
         first = project_qkv(
-            StreamBatch(txt=batch.txt, img=batch.img + stack.step_embedding(0)),
+            StreamBatch(txt=batch.txt, img=batch.img + stack.embeddings[0]),
             stack.layers[0],
         )
         assert np.array_equal(guided_seen[0], first.k[TXT:TXT + IMG])
@@ -206,7 +232,7 @@ class TestRunStack:
         img = np.array(batch.img)
         expected = []
         for t in range(stack.step_count):
-            img = img + stack.step_embedding(t)
+            img = img + stack.embeddings[t]
             for layer, weights in enumerate(stack.layers):
                 qkv = project_qkv(StreamBatch(txt=txt, img=img), weights)
                 expected.append(qkv)
@@ -274,12 +300,12 @@ class TestSweep:
             txt = np.array(batch.txt)
             img = np.array(batch.img)
             for t in range(stack.step_count):
-                img = img + stack.step_embedding(t)
+                img = img + stack.embeddings[t]
                 for weights in stack.layers:
                     qkv = project_qkv(StreamBatch(txt=txt, img=img), weights)
                     i_s, i_e = qkv.img_range
                     k = np.array(qkv.k)
-                    k[i_s:i_e] = rescale(decompose(k[i_s:i_e]), 1.0, delta_k)
+                    k[i_s:i_e] = rescale(decompose(k[i_s:i_e]), delta_k)
                     out = joint_attention(JointQKV(q=qkv.q, k=k, v=qkv.v, img_range=qkv.img_range))
                     txt, img = txt + out[:i_s], img + out[i_s:]
             return img
