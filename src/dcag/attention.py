@@ -240,35 +240,49 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
 
 
 def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Scaled logits (G, S, S) of G heads' (S, G, d_h) q and k, written into out."""
+    """Scaled logits (G, R, S) of G heads' (R, G, d_h) q against (S, G, d_h) k, into out."""
     np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=out)
     out *= 1.0 / np.sqrt(q.shape[2])
     return out
 
 
-def _group_buffer(s: int, heads: int) -> np.ndarray:
-    """The (G, S, S) weights buffer _attend fills G heads at a time.
+_BAND_BYTES = 4 * 1024 * 1024  # bound on one query-row band of the weights (one row if larger)
 
-    G is as many heads as fit in one softmax row block, at least one, so a
-    buffer over one (S, S) is never larger than _SOFTMAX_BLOCK_BYTES.
+
+def _group_shape(s: int, heads: int) -> tuple[int, int, int]:
+    """The (G, R, S) of _group_buffer, which cli also counts without allocating it.
+
+    If one (S, S) fits in _BAND_BYTES, R = S and G heads (at least one) fit in one softmax
+    row block; else G = 1 and R is the largest of the fewest near-equal bands within it.
     """
-    return np.empty((max(1, min(heads, _SOFTMAX_BLOCK_BYTES // (s * s * 8))), s, s))
+    if s * s * 8 <= _BAND_BYTES:
+        return max(1, min(heads, _SOFTMAX_BLOCK_BYTES // (s * s * 8))), s, s
+    bands = -(-s // max(1, _BAND_BYTES // (s * 8)))
+    return 1, -(-s // bands), s
+
+
+def _group_buffer(s: int, heads: int) -> np.ndarray:
+    return np.empty(_group_shape(s, heads))
 
 
 def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Attention of (S, H, d_h) blocks into out (S, H, d_h), G heads at a time.
+    """Attention of (S, H, d_h) blocks into out (S, H, d_h), G heads and R query rows at a time.
 
-    weights is a C-contiguous (G, S, S) buffer; each group of G heads runs as
-    one batched logits matmul, one softmax and one batched weighted sum, and
-    leaves its softmax weights in the buffer. A batched matmul makes the same
-    per-head gemm calls as a loop over heads, so any G gives the same bits.
-    Query-block tiling would not: BLAS rounds row blocks differently.
+    weights is a C-contiguous (G, R, S) buffer, G = 1 or R = S. Per group of G heads
+    the S query rows run in the fewest bands of at most R rows (sizes within one row),
+    each as one batched logits matmul against every key, one softmax and one batched
+    weighted sum on a prefix of the buffer; R = S leaves the last group's weights.
+    Any G gives the bits of a loop over heads (the same per-head gemm calls); bands
+    give the unbanded bits where OpenBLAS rounds a band as it rounds the full product.
     """
-    g, h = weights.shape[0], q.shape[1]
+    g, r, s = weights.shape
+    h, bands = q.shape[1], -(-s // r)
+    cuts = [i * s // bands for i in range(bands + 1)]
     for first in range(0, h, g):
         heads = slice(first, first + g)  # the last group may be shorter
-        w = _softmax_rows(_logits(q[:, heads], k[:, heads], weights[:h - first]))
-        np.matmul(w, v[:, heads].transpose(1, 0, 2), out=out[:, heads].transpose(1, 0, 2))
+        for lo, hi in zip(cuts, cuts[1:]):
+            w = _softmax_rows(_logits(q[lo:hi, heads], k[:, heads], weights[:h - first, :hi - lo]))
+            np.matmul(w, v[:, heads].transpose(1, 0, 2), out=out[lo:hi, heads].transpose(1, 0, 2))
     return out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import _logits, attention_weights, joint_attention, project_qkv
+from .attention import _group_shape, _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, iso_contour
 from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, apply_dcag, load_config
@@ -165,19 +165,22 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
         handle.write("\n")
 
 
-def _check_memory(args, heads: int = 1) -> None:
-    """Refuse a run whose float64 stack, (heads, S, S) buffers and grid exceed physical memory.
+def _check_memory(args, attend: bool = False) -> None:
+    """Refuse a run whose float64 buffers, stack and grid exceed physical memory.
 
-    The stack keeps 6·D² weights per layer and D per step (attend builds one of
-    each) and draws one more (6, D, D) while building; heads counts the most
-    (S, S) buffers held at once, and a sweep adds its n_dk + n_dv grid values
-    and five floats per grid point. Checking first turns an impossible run into one line.
+    profile and sweep hold one _group_shape weights buffer; attend's checks hold two
+    (S, S) logit buffers, then its artifacts H weights. Each holds 7·S·D in the
+    batch, state, (S, 3D) projection, attention output and RoPE tables. The stack
+    keeps 6·D² weights per layer and D per step (attend builds one of each) and
+    draws one more (6, D, D) while building; a sweep adds n_dk + n_dv grid values
+    and five floats per grid point.
     """
     s = args.txt_tokens + args.img_tokens
     layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
     n_dk, n_dv = (getattr(args, flag, (0, 0, 0))[2] for flag in ("dk", "dv"))
     grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
-    need = (heads * s * s + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
+    held = max(args.heads, 2) * s * s if attend else math.prod(_group_shape(s, args.heads))
+    need = (held + 7 * s * args.dim + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
             + n_dk + n_dv + 5 * n_dk * n_dv) * 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
@@ -310,8 +313,7 @@ def _check_value_affinity(qkv) -> bool:
 
 
 def _cmd_attend(args) -> int:
-    # the checks hold two (S, S) logit buffers, then the artifacts H weights
-    _check_memory(args, max(args.heads, 2))
+    _check_memory(args, attend=True)
     cfg = load_config(args.config)
     weights = ToyStack.seeded(args.seed, layers=1, steps=1,
                               dim=args.dim, heads=args.heads).layers[0]

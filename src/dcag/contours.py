@@ -39,19 +39,14 @@ _SEGMENTS = {
 }
 
 
+# Offsets of each cell edge's corners (ia, ja, ib, jb) from (i, j, i, j), lower grid
+# index first, so the two cells sharing an edge compute bit-identical crossings.
+_EDGE_ENDS = {"S": (0, 0, 1, 0), "N": (0, 1, 1, 1), "W": (0, 0, 0, 1), "E": (1, 0, 1, 1)}
+
+
 def _edge_crossing(xs, ys, values, level, edge, i, j):
-    # Canonical endpoint order (lower grid index first) so the two cells
-    # sharing an edge compute bit-identical crossing coordinates.
-    if edge == "S":
-        (ia, ja), (ib, jb) = (i, j), (i + 1, j)
-    elif edge == "N":
-        (ia, ja), (ib, jb) = (i, j + 1), (i + 1, j + 1)
-    elif edge == "W":
-        (ia, ja), (ib, jb) = (i, j), (i, j + 1)
-    else:  # "E"
-        (ia, ja), (ib, jb) = (i + 1, j), (i + 1, j + 1)
-    va = values[ia, ja]
-    vb = values[ib, jb]
+    ia, ja, ib, jb = (corner + offset for corner, offset in zip((i, j, i, j), _EDGE_ENDS[edge]))
+    va, vb = values[ia, ja], values[ib, jb]
     t = (level - va) / (vb - va)
     return (xs[ia] + t * (xs[ib] - xs[ia]), ys[ja] + t * (ys[jb] - ys[ja]))
 
@@ -137,7 +132,5 @@ def iso_contour(result: SweepResult, metric: str, level: float):
 
 def contour_text(polylines) -> str:
     """One 'x,y' vertex per line, 17 significant digits, blank line between polylines."""
-    chunks = []
-    for line in polylines:
-        chunks.append("\n".join(f"{x:.17g},{y:.17g}" for x, y in line))
+    chunks = ["\n".join(f"{x:.17g},{y:.17g}" for x, y in line) for line in polylines]
     return ("\n\n".join(chunks) + "\n") if chunks else ""

@@ -110,11 +110,7 @@ def heatmap_pgm(ratios) -> str:
     if r.size == 0:
         raise ValueError("cannot render an empty profile")
     layers, steps = r.shape
-    lo = float(r.min())
-    hi = float(r.max())
-    if hi > lo:
-        levels = np.rint((r - lo) / (hi - lo) * 255.0).astype(np.int64)
-    else:
-        levels = np.zeros_like(r, dtype=np.int64)
+    lo, hi = float(r.min()), float(r.max())
+    levels = np.rint((r - lo) / ((hi - lo) or 1.0) * 255.0).astype(np.int64)  # constant: all 0
     rows = [" ".join(str(levels[layer, step]) for layer in range(layers)) for step in range(steps)]
     return f"P2\n{layers} {steps}\n255\n" + "\n".join(rows) + "\n"

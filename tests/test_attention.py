@@ -15,7 +15,10 @@ from dcag import (
     project_qkv,
     rope,
 )
-from dcag.attention import DEFAULT_ROPE_BASE, _project, _rope_table
+from dcag import attention
+from dcag.attention import (DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _group_buffer, _group_shape,
+                            _project, _rope_table)
+from dcag.tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
 from conftest import bits, child_env
 from oracles import naive_attention, naive_rope
 
@@ -302,10 +305,15 @@ class TestJointAttention:
 # are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. Groups
 # of G heads, including a ragged last group (G = 3), must give the bits of one
 # batched (H, S, S) formula; with G = H the buffer is the (H, S, S) weights.
+# From 725 tokens up _group_buffer gives (1, R, S) query-row bands: they must
+# give the unbanded formula's bits at S = 1,032 and 2,056, where OpenBLAS rounds
+# a band as it rounds the full product, and at S = 725, where it does not, agree
+# with it to rtol 1e-12 (atol 1e-12 of its largest entry) and with themselves
+# bit for bit.
 PER_HEAD_VS_BATCHED = """
 import hashlib
 import numpy as np
-from dcag.attention import _attend
+from dcag.attention import _attend, _group_buffer
 from dcag.tensors import _softmax_rows
 
 rng = np.random.default_rng(11)
@@ -327,6 +335,25 @@ for s in (152, 408, 579, 1032):
             if g == h:
                 assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
             del weights
+for s in (725, 1032, 2056):
+    for h in (4, 16):
+        block = rng.standard_normal((s, 3 * 64))
+        q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
+        unbanded = np.empty(q.shape)
+        for i in range(h):  # one (S, S) at a time: (16, 2056, 2056) would be 541 MB
+            w = q[:, i] @ k[:, i].T
+            w *= 1.0 / np.sqrt(q.shape[2])
+            unbanded[:, i] = _softmax_rows(w) @ v[:, i]
+        weights = _group_buffer(s, h)
+        assert weights.shape[0] == 1 and weights.shape[1] < s, (s, h, weights.shape)
+        banded = _attend(q, k, v, weights, np.empty(q.shape))
+        if s == 725:
+            # entries near 0 cancel, so their relative error is not bounded: atol at the scale
+            np.testing.assert_allclose(banded, unbanded, rtol=1e-12,
+                                       atol=1e-12 * np.abs(unbanded).max())
+            assert np.array_equal(banded, _attend(q, k, v, weights, np.empty(q.shape)))
+        else:
+            assert np.array_equal(banded, unbanded), (s, h)
 """
 
 
@@ -336,3 +363,35 @@ def test_per_head_kernel_equals_batched_matmul_bitwise(threads):
                             env=child_env(OPENBLAS_NUM_THREADS=threads),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_group_buffer_is_one_square_or_near_equal_bands(monkeypatch, rng):
+    # R = S exactly when one (S, S) fits in 4 MiB (S <= 724); above that G = 1
+    # and R rows, R·S·8 <= 4 MiB (one row if a row is larger), in the fewest bands
+    for s in (1, 152, 257, 724, 725, 1032, 2056, 4104, 100_003, 600_000):
+        for h in (1, 4, 16):
+            g, r, n = _group_shape(s, h)
+            assert n == s and (r == s) == (s * s * 8 <= _BAND_BYTES)
+            if r == s:
+                assert g == max(1, min(h, _SOFTMAX_BLOCK_BYTES // (s * s * 8)))
+            else:
+                rows = max(1, _BAND_BYTES // (s * 8))
+                assert g == 1 and r <= rows and -(-s // r) == -(-s // rows)
+    assert _group_buffer(1032, 4).shape == (1, 344, 1032)
+    # the bands _attend runs differ by at most one row and fill the buffer's prefix
+    seen = []
+
+    def record(w):
+        seen.append(w.shape)
+        return _softmax_rows(w)
+
+    monkeypatch.setattr(attention, "_softmax_rows", record)
+    for s, h in ((725, 1), (1032, 2), (2056, 1), (4104, 1)):
+        seen.clear()
+        weights = _group_buffer(s, h)
+        q, k, v = rng.standard_normal((3, s, h, 2))
+        _attend(q, k, v, weights, np.empty(q.shape))
+        sizes = [rows for _, rows, _ in seen]
+        assert len(seen) == h * -(-s // weights.shape[1])
+        assert sum(sizes) == h * s and max(sizes) == weights.shape[1]
+        assert max(sizes) - min(sizes) <= 1

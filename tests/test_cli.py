@@ -401,10 +401,15 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["profile", "sweep", "attend"])
     def test_attention_weights_beyond_physical_memory_is_one_line(self, command, tmp_path,
                                                                    capsys):
-        # S²·8 bytes (H·S²·8 for attend) at least twice this machine's memory:
-        # the command must refuse before allocating, not raise or get OOM-killed
+        # attend's H·S²·8 bytes, or for profile and sweep (whose weights are at
+        # most 4 MiB bands) the seven (S, D) float64 blocks at the default --dim
+        # 64, at least twice this machine's memory: the command must refuse
+        # before allocating, not raise, get OOM-killed or run for hours
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        side = math.isqrt(math.isqrt(physical // 4)) + 1  # sweep needs a square count
+        if command == "attend":
+            side = math.isqrt(math.isqrt(physical // 4)) + 1
+        else:
+            side = math.isqrt(2 * physical // (7 * 64 * 8)) + 1  # sweep needs a square count
         config = tmp_path / "guidance.cfg"
         config.write_text("delta_k = 1.1\n")
         argv = [command, "--img-tokens", str(side * side), "--out", str(tmp_path / "out")]

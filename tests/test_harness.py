@@ -26,7 +26,7 @@ from dcag import (
     token_grid,
 )
 import dcag.harness
-from dcag.attention import _group_buffer
+from dcag.attention import _BAND_BYTES, _group_buffer
 from dcag.metrics import mse, psnr, ssim
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES
 from conftest import bits
@@ -376,25 +376,26 @@ class TestSweep:
             sweep(stack, batch, [], [1.0])
 
 
-def test_stack_attention_memory_is_one_square_buffer():
-    # at 8 + 1,024 tokens a batched (H, S, S) logits tensor alone is 34 MB and
-    # (S, S) is 8.5 MB, so heads run one at a time; at 8 + 144 two heads' (S, S)
-    # fit in one softmax row block and share the buffer, which stays within it
-    heads = 4
-    for s_t, s_i in ((8, 1024), (8, 144)):
-        stack = ToyStack.seeded(0, layers=1, steps=1, dim=64, heads=heads)
-        batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=64)
+def test_stack_attention_memory_is_one_band():
+    # at 8 + 1,024 tokens (S, S) is 8.5 MB, so heads run one at a time in three
+    # 344-row bands of 2.8 MB, and a cell holds one band plus O(S·D) blocks: the
+    # state, the (S, 3D) projection, the attention output, the RoPE tables and
+    # RoPE's two temporaries, seven (S, D) in all; the bound allows 4 MiB and
+    # eight. At 8 + 144 two heads' (S, S) fit in one softmax row block and share
+    # the buffer, within twice that block.
+    heads, dim = 4, 64
+    for s_t, s_i, shape, bound in ((8, 1024, (1, 344, 1032), _BAND_BYTES + 8 * 1032 * dim * 8),
+                                   (8, 144, (2, 152, 152), 2 * _SOFTMAX_BLOCK_BYTES)):
+        stack = ToyStack.seeded(0, layers=1, steps=1, dim=dim, heads=heads)
+        batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=dim)
         qkv = project_qkv(batch, stack.layers[0])
-        s = s_t + s_i
-        cfg = GuidanceConfig()
-        bound = max(s * s * 8, _SOFTMAX_BLOCK_BYTES)  # s * s * 8 at 1,032 tokens
-        assert _group_buffer(s, heads).nbytes <= bound
+        assert _group_buffer(s_t + s_i, heads).shape == shape
         for attend in (lambda: run_stack(stack, batch), lambda: joint_attention(qkv),
-                       lambda: guided_attention(batch, stack.layers[0], cfg)):
+                       lambda: guided_attention(batch, stack.layers[0], GuidanceConfig())):
             tracemalloc.start()
             try:
                 attend()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * bound
+            assert peak < bound
