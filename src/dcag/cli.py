@@ -27,6 +27,7 @@ from .guidance import GuidanceConfig, apply_dcag, load_config
 from .harness import _METRICS, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
+from .tensors import _SOFTMAX_BLOCK_BYTES
 
 
 def _positive_int(text: str) -> int:
@@ -165,23 +166,29 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
         handle.write("\n")
 
 
-def _check_memory(args, attend: bool = False) -> None:
+def _check_memory(args) -> None:
     """Refuse a run whose float64 buffers, stack and grid exceed physical memory.
 
     profile and sweep hold one _group_shape weights buffer; attend's checks hold two
-    (S, S) logit buffers, then its artifacts H weights. Each holds 7·S·D in the
-    batch, state, (S, 3D) projection, attention output and RoPE tables. The stack
-    keeps 6·D² weights per layer and D per step (attend builds one of each) and
-    draws one more (6, D, D) while building; a sweep adds n_dk + n_dv grid values
-    and five floats per grid point.
+    (S, S) logit buffers, then its artifacts H weights. Each holds 8·S·D in the
+    batch, state, (S, 3D) projection, attention output, RoPE tables and RoPE's two
+    temporaries, and profile and sweep one more S·D: the ratio's deviations or the
+    sweep's reference output. sweep and attend guide, on 6·S_i·D of temporaries.
+    The stack keeps 6·D² weights per layer and D per step (attend builds one of each)
+    and draws one more (6, D, D) while building; a sweep adds n_dk + n_dv grid values
+    and five floats per grid point. A fixed _SOFTMAX_BLOCK_BYTES // 8 (64 KiB) counts
+    one softmax row block's boolean mask.
     """
     s = args.txt_tokens + args.img_tokens
     layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
     n_dk, n_dv = (getattr(args, flag, (0, 0, 0))[2] for flag in ("dk", "dv"))
     grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
+    attend = args.command == "attend"
     held = max(args.heads, 2) * s * s if attend else math.prod(_group_shape(s, args.heads))
-    need = (held + 7 * s * args.dim + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
-            + n_dk + n_dv + 5 * n_dk * n_dv) * 8
+    guide = 0 if args.command == "profile" else 6 * args.img_tokens * args.dim
+    need = (held + (8 if attend else 9) * s * args.dim + guide
+            + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
+            + n_dk + n_dv + 5 * n_dk * n_dv) * 8 + _SOFTMAX_BLOCK_BYTES // 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         raise ConfigError(f"the run needs {need / 2**30:.1f} GiB (tokens {s}, dimension "
@@ -313,15 +320,14 @@ def _check_value_affinity(qkv) -> bool:
 
 
 def _cmd_attend(args) -> int:
-    _check_memory(args, attend=True)
+    _check_memory(args)
     cfg = load_config(args.config)
     weights = ToyStack.seeded(args.seed, layers=1, steps=1,
                               dim=args.dim, heads=args.heads).layers[0]
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
                          img_tokens=args.img_tokens, dim=args.dim)
     qkv = project_qkv(batch, weights)
-    # the pass is layer 0 of a stack, so guided_layers gates it like run_stack does
-    guided = apply_dcag(qkv, cfg) if cfg.applies_to(0) else qkv
+    guided = apply_dcag(qkv, cfg)
     out = joint_attention(guided)
     i_s, i_e = qkv.img_range
     s, h, dh = qkv.q.shape
@@ -348,11 +354,11 @@ def _cmd_attend(args) -> int:
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
     summary = {"checks": checks} if checks is not None else None
-    # lambda_k and lambda_v record the bias scale the pass used, which is always 1
+    # lambda_k and lambda_v record the bias scale the pass used, which is always 1;
+    # guided_layers records that no layer is left out, which is always []
     _write_manifest(outdir, args, artifacts, summary,
                     config={**asdict(cfg), "lambda_k": 1.0, "lambda_v": 1.0,
-                            "token_range": qkv.img_range,
-                            "guided_layers": sorted(cfg.guided_layers)})
+                            "token_range": qkv.img_range, "guided_layers": []})
     print(f"guided pass complete: {len(artifacts)} artifacts in {outdir}")
     if checks is not None:
         for name, passed in checks.items():

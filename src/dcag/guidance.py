@@ -26,7 +26,7 @@ import numpy as np
 
 from .attention import JointQKV, LayerWeights, StreamBatch, joint_attention, project_qkv
 from .errors import ConfigError, ShapeError
-from .tensors import as_index, as_tensor, check_finite
+from .tensors import as_tensor, check_finite
 
 __all__ = [
     "BiasDelta",
@@ -136,39 +136,27 @@ def rescale(bd: BiasDelta, delta_scale) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Scales and targeting for one guidance setup.
+    """The (delta_k, delta_v) scales of one guidance setup.
 
-    Guidance applies to the image rows of whatever batch it runs on; an
-    empty guided_layers set means every layer. The scale defaults are the
-    recommended operating point, and all-ones scales are the declared
-    identity configuration (no guidance at all).
+    Guidance rescales the image rows of every batch and every layer it is
+    given. The defaults are the recommended operating point, and all-ones
+    scales are the declared identity configuration (no guidance at all).
     """
 
     delta_k: float = DEFAULT_DELTA_K
     delta_v: float = DEFAULT_DELTA_V
-    guided_layers: frozenset[int] = frozenset()
 
     def __post_init__(self):
         try:
             for name in ("delta_k", "delta_v"):
                 object.__setattr__(self, name, _check_scale(getattr(self, name), name))
-            if isinstance(self.guided_layers, str):
-                raise ValueError(f"guided_layers must be layer indices, not {self.guided_layers!r}")
-            layers = frozenset(as_index(i, "guided_layers entry") for i in self.guided_layers)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if any(i < 0 for i in layers):
-            raise ConfigError(f"guided_layers must be non-negative, got {sorted(layers)}")
-        object.__setattr__(self, "guided_layers", layers)
 
     @classmethod
     def identity(cls) -> "GuidanceConfig":
         """The configuration under which guidance is a bitwise no-op."""
         return cls(delta_k=1.0, delta_v=1.0)
-
-    def applies_to(self, layer: int) -> bool:
-        layer = as_index(layer, "layer")
-        return not self.guided_layers or layer in self.guided_layers
 
 
 def _guide(k: np.ndarray, v: np.ndarray, i_s: int, cfg: GuidanceConfig) -> None:
@@ -198,11 +186,7 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
 
 def guided_attention(batch: StreamBatch, weights: LayerWeights,
                      cfg: GuidanceConfig | None = None) -> np.ndarray:
-    """One layer forward as an (S, D) array: project, guide (when cfg is given), attend.
-
-    Layer gating via cfg.guided_layers is the stack runner's job; a config
-    passed here is always applied.
-    """
+    """One layer forward as an (S, D) array: project, guide (when cfg is given), attend."""
     qkv = project_qkv(batch, weights)
     if cfg is not None:
         qkv = apply_dcag(qkv, cfg)
@@ -211,7 +195,7 @@ def guided_attention(batch: StreamBatch, weights: LayerWeights,
 
 # --- plain-text key-value config documents ---------------------------------
 
-_CONFIG_KEYS = ("delta_k", "delta_v", "guided_layers")
+_CONFIG_KEYS = ("delta_k", "delta_v")
 
 
 def parse_config(text: str) -> GuidanceConfig:
@@ -231,22 +215,10 @@ def parse_config(text: str) -> GuidanceConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key == "guided_layers":
-            if value in ("all", ""):
-                fields[key] = frozenset()
-            else:
-                try:
-                    fields[key] = frozenset(int(part) for part in value.split(","))
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: guided_layers must be 'all' or comma-separated "
-                        f"layer indices, got {value!r}"
-                    ) from None
-        else:
-            try:
-                fields[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}") from None
+        try:
+            fields[key] = float(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}") from None
     return GuidanceConfig(**fields)
 
 

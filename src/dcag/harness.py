@@ -128,7 +128,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     """Iterate the denoising loop and return the final image block (S_i, D).
 
     Each of stack.step_count steps adds the step embedding to the image
-    tokens, then runs every layer (guided where cfg applies) with residual
+    tokens, then runs every layer (guided when cfg is given) with residual
     connections. When given, tap(layer, step, q, k, v) observes each layer's
     pre-guidance Q, K and V: read-only (S, H, d_h) views of the projection
     buffer, whose image rows start at batch.txt.shape[0]. The views change
@@ -157,7 +157,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
             q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, h, *tables[h], proj)
             if tap is not None:
                 tap(layer, t, *seen.reshape(s, 3, h, -1).transpose(1, 0, 2, 3))
-            if cfg is not None and cfg.applies_to(layer):
+            if cfg is not None:
                 _guide(k, v, s_t, cfg)
             _attend(q, k, v, weights, attn.reshape(s, h, -1))
             state += attn
@@ -225,18 +225,20 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
     if not dks or not dvs:
         raise ValueError("sweep needs non-empty delta_k and delta_v value lists")
 
-    reference_block = run_stack(stack, batch, GuidanceConfig.identity())
+    # every point's config is checked before the stack runs at all
+    configs = [[GuidanceConfig(delta_k=dk, delta_v=dv) for dv in dvs] for dk in dks]
+    identity = GuidanceConfig.identity()
+    reference_block = run_stack(stack, batch, identity)
     grid = token_grid(reference_block)
     lo, hi = float(grid.min()), float(grid.max())
     reference = render_tokens(reference_block, lo, hi)  # raises if hi == lo
 
     surfaces = {name: np.empty((len(dks), len(dvs))) for name in _METRICS}
-    for i, dk in enumerate(dks):
-        for j, dv in enumerate(dvs):
-            if (dk, dv) == (1.0, 1.0):
+    for i, row in enumerate(configs):
+        for j, cfg in enumerate(row):
+            if cfg == identity:
                 image = reference
             else:
-                cfg = GuidanceConfig(delta_k=dk, delta_v=dv)
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
             for name, metric in _METRICS.items():
                 surfaces[name][i, j] = metric(image, reference)

@@ -156,6 +156,17 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["parameters"]["contour"] == []
 
+    @pytest.mark.parametrize("flag", ["--dk", "--dv"])
+    def test_negative_grid_value_rejected_before_the_stack_runs(self, tmp_path, capsys,
+                                                                 monkeypatch, flag):
+        monkeypatch.setattr("dcag.harness.run_stack", lambda *a, **k: pytest.fail("stack ran"))
+        out = tmp_path / "out"
+        code = main(["sweep", *FAST_SWEEP, flag, "1:-0.1:3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: delta_{flag[-1]} must be finite and non-negative, got -0.1"]
+        assert not out.exists()
+
     def test_non_square_img_tokens_rejected(self, tmp_path, capsys):
         code = main(["sweep", *FAST_SWEEP[:-1], "120", "--out", str(tmp_path)])
         assert code == 2
@@ -235,23 +246,10 @@ class TestAttendCommand:
         # guidance scales only the deviations, so a config may not name a bias scale
         self.assert_key_refused(tmp_path, capsys, f"delta_k = 1.1\n{key} = 1\n", key)
 
-    def test_guided_layers_without_layer_0_leave_the_pass_unguided(self, tmp_path):
-        subset, identity = tmp_path / "subset", tmp_path / "identity"
-        config = self.write_config(tmp_path, "delta_k = 1.2\ndelta_v = 0.9\n"
-                                             "guided_layers = 1,3\n")
-        assert main(["attend", *FAST_ATTEND, "--config", config, "--out", str(subset)]) == 0
-        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
-        assert main(["attend", *FAST_ATTEND, "--config", config, "--out", str(identity)]) == 0
-        for name in ("k_img_post.csv", "v_img_post.csv", "attention.csv", "output.csv"):
-            assert read(subset / name) == read(identity / name)
-        assert read(subset / "k_img_post.csv") == read(subset / "k_img_pre.csv")
-        manifest = json.loads((subset / "manifest.json").read_text())
-        assert manifest["parameters"]["config"]["guided_layers"] == [1, 3]
-
-    def test_mismatched_token_range_is_config_error_when_layer_0_is_unguided(
-            self, tmp_path, capsys):
-        self.assert_key_refused(tmp_path, capsys, "guided_layers = 1\ntoken_range = 4:16\n",
-                                "token_range")
+    def test_layer_subset_is_config_error(self, tmp_path, capsys):
+        # guidance applies to every layer, so a config may not name a subset of them
+        self.assert_key_refused(tmp_path, capsys, "delta_k = 1.2\nguided_layers = 1,3\n",
+                                "guided_layers")
 
     def test_config_without_range_uses_derived_range(self, tmp_path):
         # the manifest records the image rows the pass guided, [S_t, S_t + S_i)
@@ -498,6 +496,42 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "taken" in err[0]
+
+
+MEMORY_RUNS = [
+    "sweep",
+    "sweep --img-tokens 576",
+    "sweep --img-tokens 1024 --dk 1:1.2:2 --dv 1:1:1",
+    "profile --img-tokens 1024",
+    "attend --check",
+    "profile",
+    "attend --check --img-tokens 576",
+]
+
+
+@pytest.mark.parametrize("run", MEMORY_RUNS)
+def test_peak_is_within_the_memory_budget(run, tmp_path, capsys, monkeypatch):
+    """A run's tracemalloc peak is at most what _check_memory budgets for it.
+
+    A warm-up run first makes the one-time allocations (numpy.random is imported
+    lazily), which belong to no run. The budget's one fixed allowance is 64 KiB
+    for a softmax row block's mask.
+    """
+    config = tmp_path / "guidance.cfg"
+    config.write_text("delta_k = 1.1\ndelta_v = 1.15\n")
+    argv = run.split() + (["--config", str(config)] if run.startswith("attend") else [])
+    assert main(["profile", *FAST_PROFILE, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # with one byte less memory than the peak, the check must refuse the run
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}.get)
+    assert main([*argv, "--out", str(tmp_path / "refused")]) == 2
+    assert "physical memory" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -15,7 +15,6 @@ from dcag import GuidanceConfig, ToyStack, run_stack, seeded_batch
 from dcag.cli import main
 
 RECOMMENDED = "delta_k = 1.1\ndelta_v = 1.15\n"
-SUBSET = "delta_k = 1.2\ndelta_v = 0.9\nguided_layers = 1,3\n"
 
 # name -> (argv after "dcag", config text for attend or None, {artifact: sha256})
 CASES = {
@@ -112,24 +111,6 @@ CASES = {
         "sweep.csv":
             "51dfe58fb596e76ead482edcf365ed384bf79821e05a599ff93d69901765c2fa",
     }),
-    # guided_layers = 1,3 leaves layer 0, the attend pass, unguided: K and V
-    # keep their pre digests, attention and output match an identity config
-    "attend-guided-subset": (["attend", "--check"], SUBSET, {
-        "attention.csv":
-            "1112e87ba87edb67d6d5214a3e43284d13ae2d52b5c314e97a6e87c7c8bc81e4",
-        "k_img_post.csv":
-            "3945cd27e4a36c73dcd0311622b2689855b880b3e47ed8479f77464c04d5bb14",
-        "k_img_pre.csv":
-            "3945cd27e4a36c73dcd0311622b2689855b880b3e47ed8479f77464c04d5bb14",
-        "manifest.json":
-            "6316213f4b075bd1f0efc3aacabce0e0682eb3db4c700724fff1b462acbbda8f",
-        "output.csv":
-            "7e610001f77fbf3c7a40b279b755f6d80b500aa25a0285fd81f81d1f1da71857",
-        "v_img_post.csv":
-            "f257184a9080b1468610e3b0a4a5822ccd37453ed34f3917591d96ba0489fcdf",
-        "v_img_pre.csv":
-            "f257184a9080b1468610e3b0a4a5822ccd37453ed34f3917591d96ba0489fcdf",
-    }),
 }
 
 
@@ -151,22 +132,21 @@ def test_cli_artifacts_match_pinned_digests(name, tmp_path, capsys):
     assert digests(outdir) == expected
 
 
-# (guided_layers, delta_k, delta_v) -> sha256 of the final image block's bytes
+# (delta_k, delta_v) -> sha256 of the final image block's bytes
 STACK_CASES = {
-    ((), 1.1, 1.15):
+    (1.1, 1.15):
         "cd71808daaf77359185a3dde546587b6486edeadddff3e3dd215620d8b847d36",
-    ((1, 3), 1.2, 0.9):
-        "bcbf8646a39b4f8a81c5e7b724a19aee0bdadf010c1a6ddece5e0bb82cfd4cad",
-    ((0,), 1.0, 1.0):
+    (1.2, 0.9):
+        "30673f621c247c4f38e6492740be74c0fd8711d13094d783b356b0a2f5f7dbd2",
+    (1.0, 1.0):
         "9d5ef54ccf0aba47877c2708d849188fc0c4968c151e34a0dca9cad4c718e238",
 }
 
 
-@pytest.mark.parametrize("layers_dk_dv", sorted(STACK_CASES))
-def test_run_stack_output_matches_pinned_digest(layers_dk_dv):
-    guided_layers, dk, dv = layers_dk_dv
+@pytest.mark.parametrize("dk_dv", sorted(STACK_CASES))
+def test_run_stack_output_matches_pinned_digest(dk_dv):
     stack = ToyStack.seeded(3, layers=4, steps=3, dim=32, heads=8)
     batch = seeded_batch(3, txt_tokens=5, img_tokens=100, dim=32)
-    cfg = GuidanceConfig(delta_k=dk, delta_v=dv, guided_layers=guided_layers)
+    cfg = GuidanceConfig(*dk_dv)
     out = np.ascontiguousarray(run_stack(stack, batch, cfg), dtype="<f8")
-    assert hashlib.sha256(out.tobytes()).hexdigest() == STACK_CASES[layers_dk_dv]
+    assert hashlib.sha256(out.tobytes()).hexdigest() == STACK_CASES[dk_dv]

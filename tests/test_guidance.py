@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 
 import numpy as np
@@ -147,50 +146,21 @@ class TestGuidanceConfig:
         assert (cfg.delta_k, cfg.delta_v) == (1.0, 1.0)
 
     def test_defaults_are_recommended_point(self):
-        assert dataclasses.astuple(GuidanceConfig()) == (1.10, 1.15, frozenset())
+        assert dataclasses.astuple(GuidanceConfig()) == (1.10, 1.15)
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ConfigError, match="non-negative"):
             GuidanceConfig(delta_k=-1.0)
 
-    @pytest.mark.parametrize("layers, message", [
-        ("12", "guided_layers must be layer indices, not '12'"),  # would guide layers 1 and 2
-        ({1.7}, "guided_layers entry must be an integer, got 1.7"),  # would guide layer 1
-        ((0, 2.0), "guided_layers entry must be an integer, got 2.0"),
-    ])
-    def test_rejects_non_integer_layers(self, layers, message):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            GuidanceConfig(guided_layers=layers)
-
-    def test_numpy_integer_layers_are_accepted(self):
-        cfg = GuidanceConfig(guided_layers=np.array([3, 1]))
-        assert cfg.guided_layers == frozenset({1, 3})
-        assert all(type(i) is int for i in cfg.guided_layers)
-
-    def test_applies_to(self):
-        assert GuidanceConfig().applies_to(17)
-        gated = GuidanceConfig(guided_layers=(0, 2))
-        assert gated.applies_to(2)
-        assert not gated.applies_to(1)
-        assert gated.applies_to(np.int64(2))
-
-    @pytest.mark.parametrize("config", [GuidanceConfig(), GuidanceConfig(guided_layers={1})],
-                             ids=["every_layer", "gated"])
-    def test_applies_to_rejects_non_integer_layers(self, config):
-        # 1.7 would be read as layer 1
-        with pytest.raises(ValueError, match=r"^layer must be an integer, got 1\.7$"):
-            config.applies_to(1.7)
-
     def test_roundtrip_through_text(self):
-        text = "delta_k = 1.3\ndelta_v = 0.90000000000000002\nguided_layers = 3,1\n"
-        assert parse_config(text) == GuidanceConfig(delta_k=1.3, delta_v=0.9, guided_layers=(3, 1))
+        text = "delta_k = 1.3\ndelta_v = 0.90000000000000002\n"
+        assert parse_config(text) == GuidanceConfig(delta_k=1.3, delta_v=0.9)
 
     def test_parse_defaults_and_comments(self):
         text = "# comment only\ndelta_k = 1.2\n\ndelta_v = 0.5 # trailing\n"
         cfg = parse_config(text)
         assert cfg.delta_k == 1.2
         assert cfg.delta_v == 0.5
-        assert cfg.guided_layers == frozenset()
         assert parse_config("delta_k = 1.2\n").delta_v == 1.15
 
     def test_parse_errors(self):
@@ -198,30 +168,23 @@ class TestGuidanceConfig:
             parse_config("bogus = 1\n")
         with pytest.raises(ConfigError, match="unknown key 'token_range'"):
             parse_config("token_range = 4:16\n")  # the guided rows come from the batch
-        for key in ("lambda_k", "lambda_v"):  # the bias is never rescaled
+        # the bias is never rescaled, and every layer is guided
+        for key in ("lambda_k", "lambda_v", "guided_layers"):
             with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$"):
                 parse_config(f"delta_k = 1.1\n{key} = 1\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("delta_k = 1\ndelta_k = 2\n")
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config("delta_k 1.1\n")
-        with pytest.raises(ConfigError, match="guided_layers must be 'all'"):
-            parse_config("guided_layers = 1,x\n")
         with pytest.raises(ConfigError, match="delta_k must be a number"):
             parse_config("delta_k = abc\n")
         with pytest.raises(ConfigError, match="non-negative"):
-            parse_config("guided_layers = -1\n")
-
-    @pytest.mark.parametrize("value", ["all", ""])
-    def test_parse_all_layers(self, value):
-        cfg = parse_config(f"guided_layers = {value}\n")
-        assert cfg.guided_layers == frozenset()
+            parse_config("delta_v = -1\n")
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "guidance.cfg"
-        path.write_text("delta_k = 1.1000000000000001\ndelta_v = 1.1499999999999999\n"
-                        "guided_layers = 0\n")
-        assert load_config(path) == GuidanceConfig(guided_layers=(0,))
+        path.write_text("delta_k = 1.1000000000000001\ndelta_v = 1.1499999999999999\n")
+        assert load_config(path) == GuidanceConfig()
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.cfg"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dcag import (
+    ConfigError,
     DegenerateInputError,
     GuidanceConfig,
     JointQKV,
@@ -173,18 +174,6 @@ class TestRunStack:
             expected = expected + stack.embeddings[t]
         assert np.array_equal(out, expected)
 
-    def test_layer_gating_via_guided_layers(self, stack, batch):
-        everywhere = GuidanceConfig(delta_k=1.2, delta_v=1.0)
-        nowhere = GuidanceConfig(delta_k=1.2, delta_v=1.0, guided_layers=(99,))
-        gated = GuidanceConfig(delta_k=1.2, delta_v=1.0, guided_layers=(0,))
-        out_all = run_stack(stack, batch, everywhere)
-        out_none = run_stack(stack, batch, nowhere)
-        out_gated = run_stack(stack, batch, gated)
-        assert np.array_equal(out_none, run_stack(stack, batch, None))
-        assert not np.array_equal(out_all, out_none)
-        assert not np.array_equal(out_gated, out_all)
-        assert not np.array_equal(out_gated, out_none)
-
     def test_tap_sees_pre_guidance_blocks(self, stack, batch):
         cfg = GuidanceConfig(delta_k=2.0, delta_v=2.0)
         seen = []
@@ -223,7 +212,7 @@ class TestRunStack:
     def test_every_tap_matches_public_stage_composition(self, stack, batch):
         # the stack loop must hand each tap exactly what project_qkv returns
         # for the running state, and must guide and attend like the public stages
-        cfg = GuidanceConfig(delta_k=1.3, delta_v=0.7, guided_layers=(1,))
+        cfg = GuidanceConfig(delta_k=1.3, delta_v=0.7)
         seen = []
         out = run_stack(stack, batch, cfg,
                         tap=lambda layer, step, *qkv: seen.append([x.copy() for x in qkv]))
@@ -233,12 +222,10 @@ class TestRunStack:
         expected = []
         for t in range(stack.step_count):
             img = img + stack.embeddings[t]
-            for layer, weights in enumerate(stack.layers):
+            for weights in stack.layers:
                 qkv = project_qkv(StreamBatch(txt=txt, img=img), weights)
                 expected.append(qkv)
-                if cfg.applies_to(layer):
-                    qkv = apply_dcag(qkv, cfg)
-                step_out = joint_attention(qkv)
+                step_out = joint_attention(apply_dcag(qkv, cfg))
                 txt, img = txt + step_out[:TXT], img + step_out[TXT:]
 
         assert len(seen) == len(expected) == stack.step_count * len(stack.layers)
@@ -370,6 +357,15 @@ class TestSweep:
         assert sorted(result.surfaces) == sorted(expected)
         for name, surface in expected.items():
             assert np.array_equal(bits(result.surface(name)), bits(surface))
+
+    @pytest.mark.parametrize("dks, dvs", [([1.0, 1.1, -0.1], [1.0]), ([1.0], [1.2, -0.1])])
+    def test_negative_value_rejected_before_the_stack_runs(self, stack, batch, monkeypatch,
+                                                           dks, dvs):
+        calls = []
+        monkeypatch.setattr(dcag.harness, "run_stack", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="must be finite and non-negative, got -0.1"):
+            sweep(stack, batch, dks, dvs)
+        assert calls == []
 
     def test_empty_value_lists_rejected(self, stack, batch):
         with pytest.raises(ValueError, match="non-empty"):
