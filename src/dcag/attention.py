@@ -14,7 +14,7 @@ stack loop in harness calls those kernels directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,8 @@ DEFAULT_ROPE_BASE = 10000.0
 
 
 def _frozen(x, name: str) -> np.ndarray:
-    arr = check_finite(np.array(x, dtype=np.float64, order="C"), name)
+    # checked before it is copied, so the check's temporary and the copy never coexist
+    arr = np.array(check_finite(np.asarray(x, dtype=np.float64), name), order="C")
     arr.flags.writeable = False
     return arr
 
@@ -69,33 +70,23 @@ class StreamBatch:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    """Per-stream projection matrices for one attention layer.
+    """Per-stream fused projection matrices for one attention layer.
 
-    All six matrices are (D, D); D splits evenly into `heads` heads of
-    d_h = D / heads coordinates each, and d_h is even (RoPE rotates pairs).
-    Each stream's [Wq|Wk|Wv] is stored once, as the read-only (D, 3D)
-    txt_wqkv and img_wqkv; the six matrix fields are read-only views into them,
-    and the instance is frozen, so the two cannot diverge.
+    txt_wqkv and img_wqkv are each stream's [Wq|Wk|Wv], (D, 3D), stored as
+    read-only private copies in a frozen instance; D splits evenly into
+    `heads` heads of d_h = D / heads coordinates each, and d_h is even (RoPE
+    rotates pairs).
     """
 
-    txt_wq: np.ndarray
-    txt_wk: np.ndarray
-    txt_wv: np.ndarray
-    img_wq: np.ndarray
-    img_wk: np.ndarray
-    img_wv: np.ndarray
+    txt_wqkv: np.ndarray
+    img_wqkv: np.ndarray
     heads: int
-    txt_wqkv: np.ndarray = field(init=False, repr=False)
-    img_wqkv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = ("txt_wq", "txt_wk", "txt_wv", "img_wq", "img_wk", "img_wv")
-        mats = [check_finite(np.asarray(getattr(self, name), dtype=np.float64), name)
-                for name in names]
-        d = mats[0].shape[0]
-        for name, mat in zip(names, mats):
-            if mat.shape != (d, d):
-                raise ShapeError(f"{name} must be ({d}, {d}), got {mat.shape}")
+        for name in ("txt_wqkv", "img_wqkv"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+            if getattr(self, name).shape != (d := self.dim, 3 * d):  # D from txt_wqkv, frozen first
+                raise ShapeError(f"{name} must be ({d}, {3 * d}), got {getattr(self, name).shape}")
         object.__setattr__(self, "heads", as_index(self.heads, "heads"))
         if self.heads < 1:
             raise ValueError(f"heads must be positive, got {self.heads}")
@@ -104,20 +95,10 @@ class LayerWeights:
         if (d // self.heads) % 2 != 0:
             raise ShapeError(f"head dimension {d // self.heads} (hidden dimension {d} / "
                              f"{self.heads} heads) must be even for RoPE")
-        for stream, stream_mats in (("txt", mats[:3]), ("img", mats[3:])):
-            fused = np.concatenate(stream_mats, axis=1)
-            fused.flags.writeable = False
-            object.__setattr__(self, f"{stream}_wqkv", fused)
-            for j, part in enumerate(("wq", "wk", "wv")):
-                object.__setattr__(self, f"{stream}_{part}", fused[:, j * d:(j + 1) * d])
 
     @property
     def dim(self) -> int:
-        return self.txt_wq.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
+        return self.txt_wqkv.shape[0]
 
 
 @dataclass
@@ -233,8 +214,9 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
         )
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
-    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.head_dim, weights.heads)
-    q, k, v = _project(batch.txt, batch.img, weights.txt_wqkv, weights.img_wqkv, weights.heads,
+    h = weights.heads
+    cos, sin = _rope_table(np.arange(s, dtype=np.float64), weights.dim // h, h)
+    q, k, v = _project(batch.txt, batch.img, weights.txt_wqkv, weights.img_wqkv, h,
                        cos, sin, np.empty((s, 3 * weights.dim)))
     return JointQKV(q=q, k=k, v=v, img_range=(s_t, s))
 
@@ -252,13 +234,13 @@ _BAND_BYTES = 4 * 1024 * 1024  # bound on one query-row band of the weights (one
 def _group_shape(s: int, heads: int) -> tuple[int, int, int]:
     """The (G, R, S) of _group_buffer, which cli also counts without allocating it.
 
-    If one (S, S) fits in _BAND_BYTES, R = S and G heads (at least one) fit in one softmax
-    row block; else G = 1 and R is the largest of the fewest near-equal bands within it.
+    R is the largest of the fewest near-equal query-row bands of at most _BAND_BYTES
+    (one row if a row is larger), so R = S when one (S, S) fits; G heads (at least
+    one) fit their (R, S) in one softmax row block.
     """
-    if s * s * 8 <= _BAND_BYTES:
-        return max(1, min(heads, _SOFTMAX_BLOCK_BYTES // (s * s * 8))), s, s
-    bands = -(-s // max(1, _BAND_BYTES // (s * 8)))
-    return 1, -(-s // bands), s
+    bands = -(-s // max(1, _BAND_BYTES // (8 * s)))
+    r = -(-s // bands)
+    return max(1, min(heads, _SOFTMAX_BLOCK_BYTES // (8 * r * s))), r, s
 
 
 def _group_buffer(s: int, heads: int) -> np.ndarray:

@@ -20,6 +20,7 @@ _decompose.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,11 @@ def _sum_error(a, b, s):
 
 
 def _check_scale(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
+    """A real scale (int, float or numpy real, not bool) as a finite non-negative float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    return value
+    return float(value)
 
 
 @dataclass

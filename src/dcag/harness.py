@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import LayerWeights, StreamBatch, _attend, _group_buffer, _project, _rope_table
+from .attention import (LayerWeights, StreamBatch, _attend, _frozen, _group_buffer, _project,
+                        _rope_table)
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _guide
 from .metrics import mse, psnr, ssim
@@ -52,48 +53,46 @@ def _check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class ToyStack:
-    """A stack of attention layers plus a seeded per-step embedding stream.
+    """A frozen stack of attention layers plus a per-step embedding stream.
 
-    Fully determined by (seed, layer count, step count, shape parameters):
-    two stacks built from equal parameters are bitwise identical, and so is
-    everything computed from them. The instance is frozen, and embeddings
-    holds the additive image-token embedding of every denoising step, each
-    drawn once from its own child seed, read-only, shaped (steps, D).
+    Every layer has the stack's hidden dimension D and one shared head count;
+    embeddings is a read-only private copy of each denoising step's additive
+    image-token embedding, shaped (steps, D), the shape step_count and dim read.
     """
 
     layers: tuple[LayerWeights, ...]
-    seed: int
-    dim: int
-    step_count: int
-    embeddings: np.ndarray = field(init=False, repr=False)
+    embeddings: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name, value in (("layers", tuple(self.layers)), ("seed", _check_seed(self.seed)),
-                            ("dim", as_index(self.dim, "dim")),
-                            ("step_count", as_index(self.step_count, "step_count"))):
-            object.__setattr__(self, name, value)
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.step_count < 1:
-            raise ValueError(f"step_count must be positive, got {self.step_count}")
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "embeddings", _frozen(self.embeddings, "embeddings"))
+        if self.embeddings.ndim != 2 or 0 in self.embeddings.shape:
+            raise ShapeError(f"embeddings must be a non-empty (steps, D) block, "
+                             f"got shape {self.embeddings.shape}")
         for i, w in enumerate(self.layers):
-            if w.dim != self.dim:
-                raise ShapeError(f"layer {i} has dim {w.dim}, stack expects {self.dim}")
-        embeddings = np.empty((self.step_count, self.dim))
-        for t in range(self.step_count):
-            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(_STEPS_KEY, t)))
-            embeddings[t] = rng.standard_normal(self.dim)
-        embeddings.flags.writeable = False
-        object.__setattr__(self, "embeddings", embeddings)
+            if (w.dim, w.heads) != (self.dim, self.layers[0].heads):
+                raise ShapeError(f"layer {i} has dim {w.dim} and {w.heads} heads, stack expects "
+                                 f"dim {self.dim} and {self.layers[0].heads} heads")
+
+    @property
+    def dim(self) -> int:
+        return self.embeddings.shape[1]
+
+    @property
+    def step_count(self) -> int:
+        return self.embeddings.shape[0]
 
     @classmethod
     def seeded(cls, seed: int, *, layers: int, steps: int, dim: int, heads: int) -> "ToyStack":
-        """Gaussian weights with std 1/sqrt(dim), one child seed per layer index."""
+        """Layer i's (6, D, D) [txt Wq, Wk, Wv, img Wq, Wk, Wv] of std 1/sqrt(dim) is drawn from
+        child seed (0, i) and step t's (D,) embedding from (1, t): equal arguments, equal bits."""
         seed = _check_seed(seed)
         layers, steps, dim, heads = (as_index(value, name) for name, value in (
             ("layers", layers), ("steps", steps), ("dim", dim), ("heads", heads)))
         if layers < 0:
             raise ValueError(f"layer count must be non-negative, got {layers}")
+        if steps < 1:
+            raise ValueError(f"steps must be positive, got {steps}")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         if heads < 1:
@@ -103,12 +102,15 @@ class ToyStack:
         for index in range(layers):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_WEIGHTS_KEY, index)))
             mats = std * rng.standard_normal((6, dim, dim))
-            built.append(LayerWeights(
-                txt_wq=mats[0], txt_wk=mats[1], txt_wv=mats[2],
-                img_wq=mats[3], img_wk=mats[4], img_wv=mats[5],
-                heads=heads,
-            ))
-        return cls(layers=tuple(built), seed=seed, dim=dim, step_count=steps)
+            # each stream's [Wq|Wk|Wv]; the draw is dropped before LayerWeights copies them
+            mats = mats.reshape(2, 3, dim, dim).transpose(0, 2, 1, 3).reshape(2, dim, 3 * dim)
+            built.append(LayerWeights(*mats, heads=heads))
+            del mats
+        embeddings = np.empty((steps, dim))
+        for t in range(steps):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STEPS_KEY, t)))
+            embeddings[t] = rng.standard_normal(dim)
+        return cls(layers=tuple(built), embeddings=embeddings)
 
 
 def seeded_batch(seed: int, *, txt_tokens: int, img_tokens: int, dim: int) -> StreamBatch:
@@ -141,25 +143,24 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
     s_t = batch.txt.shape[0]
     s = s_t + batch.img.shape[0]
-    positions = np.arange(s, dtype=np.float64)
-    tables = {h: _rope_table(positions, stack.dim // h, h) for h in {w.heads for w in stack.layers}}
+    heads = stack.layers[0].heads if stack.layers else 1
+    cos, sin = _rope_table(np.arange(s, dtype=np.float64), stack.dim // heads, heads)
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
     txt, img = state[:s_t], state[s_t:]
     proj = np.empty((s, 3 * stack.dim))
-    seen = proj.view()  # what the tap reads
+    seen = proj.reshape(s, 3, heads, -1).transpose(1, 0, 2, 3)  # what the tap reads
     seen.flags.writeable = False
     attn = np.empty((s, stack.dim))
-    weights = _group_buffer(s, max((w.heads for w in stack.layers), default=1))
+    weights = _group_buffer(s, heads)
     for t, embedding in enumerate(stack.embeddings):
         img += embedding
         for layer, w in enumerate(stack.layers):
-            h = w.heads
-            q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, h, *tables[h], proj)
+            q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, heads, cos, sin, proj)
             if tap is not None:
-                tap(layer, t, *seen.reshape(s, 3, h, -1).transpose(1, 0, 2, 3))
+                tap(layer, t, *seen)
             if cfg is not None:
                 _guide(k, v, s_t, cfg)
-            _attend(q, k, v, weights, attn.reshape(s, h, -1))
+            _attend(q, k, v, weights, attn.reshape(s, heads, -1))
             state += attn
     return check_finite(img, "stack output")
 

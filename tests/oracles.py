@@ -95,16 +95,16 @@ def key_only_forward(batch, weights, delta_k):
     pos_txt = list(range(s_t))
     pos_img = list(range(s_t, s_t + s_i))
     q = np.concatenate([
-        naive_rope(heads_of(np.dot(txt, weights.txt_wq)), pos_txt),
-        naive_rope(heads_of(np.dot(img, weights.img_wq)), pos_img),
+        naive_rope(heads_of(np.dot(txt, weights.txt_wqkv[:, :d])), pos_txt),
+        naive_rope(heads_of(np.dot(img, weights.img_wqkv[:, :d])), pos_img),
     ])
     k = np.concatenate([
-        naive_rope(heads_of(np.dot(txt, weights.txt_wk)), pos_txt),
-        naive_rope(heads_of(np.dot(img, weights.img_wk)), pos_img),
+        naive_rope(heads_of(np.dot(txt, weights.txt_wqkv[:, d:2 * d])), pos_txt),
+        naive_rope(heads_of(np.dot(img, weights.img_wqkv[:, d:2 * d])), pos_img),
     ])
     v = np.concatenate([
-        heads_of(np.dot(txt, weights.txt_wv)),
-        heads_of(np.dot(img, weights.img_wv)),
+        heads_of(np.dot(txt, weights.txt_wqkv[:, 2 * d:])),
+        heads_of(np.dot(img, weights.img_wqkv[:, 2 * d:])),
     ])
 
     k_img = k[s_t:]

@@ -73,7 +73,7 @@ def test_c02_key_only_reduction():
     an independent Key-only implementation within 1e-12."""
     rng = np.random.default_rng(202)
     batch = StreamBatch(txt=rng.standard_normal((6, 32)), img=rng.standard_normal((24, 32)))
-    weights = LayerWeights(*(rng.standard_normal((6, 32, 32)) / np.sqrt(32)), heads=4)
+    weights = LayerWeights(*(rng.standard_normal((2, 32, 96)) / np.sqrt(32)), heads=4)
     for delta_k in (1.05, 1.10, 1.15, 1.20):
         cfg = GuidanceConfig(delta_k=delta_k, delta_v=1.0)
         qkv = project_qkv(batch, weights)
@@ -114,7 +114,7 @@ def test_c04_value_affinity():
     for seed in range(50):
         rng = np.random.default_rng(4000 + seed)
         batch = StreamBatch(txt=rng.standard_normal((4, 16)), img=rng.standard_normal((12, 16)))
-        weights = LayerWeights(*(rng.standard_normal((6, 16, 16)) / 4.0), heads=2)
+        weights = LayerWeights(*(rng.standard_normal((2, 16, 48)) / 4.0), heads=2)
 
         def out(dv):
             return guided_attention(batch, weights, GuidanceConfig(delta_k=1.0, delta_v=dv))
@@ -132,7 +132,7 @@ def test_c05_orthogonality():
     bitwise invariant under delta_k."""
     rng = np.random.default_rng(505)
     batch = StreamBatch(txt=rng.standard_normal((6, 32)), img=rng.standard_normal((18, 32)))
-    weights = LayerWeights(*(rng.standard_normal((6, 32, 32)) / np.sqrt(32)), heads=4)
+    weights = LayerWeights(*(rng.standard_normal((2, 32, 96)) / np.sqrt(32)), heads=4)
     qkv = project_qkv(batch, weights)
 
     base_weights = attention_weights(

@@ -24,8 +24,8 @@ from oracles import naive_attention, naive_rope
 
 
 def make_weights(rng, dim, heads):
-    mats = rng.standard_normal((6, dim, dim)) / np.sqrt(dim)
-    return LayerWeights(*mats, heads=heads)
+    wqkv = rng.standard_normal((2, dim, 3 * dim)) / np.sqrt(dim)
+    return LayerWeights(*wqkv, heads=heads)
 
 
 def make_qkv(rng, s_t, s_i, heads, dh):
@@ -58,27 +58,38 @@ class TestTypes:
         source[0, 0] = 123.0  # caller's array must stay writable
 
     def test_layer_weights_store_each_stream_once(self, rng):
-        # the six matrices are read-only views of the fused [Wq|Wk|Wv] arrays
-        # projection reads, and a frozen instance keeps the two from diverging
-        mats = rng.standard_normal((6, 4, 4))
-        w = LayerWeights(*mats, heads=2)
-        for i, name in enumerate(("txt_wq", "txt_wk", "txt_wv", "img_wq", "img_wk", "img_wv")):
+        # each stream's [Wq|Wk|Wv] is one read-only private (D, 3D) copy, the
+        # array projection reads, in a frozen instance; no other field holds weights
+        wqkv = rng.standard_normal((2, 4, 12))
+        w = LayerWeights(*wqkv, heads=2)
+        assert [f.name for f in dataclasses.fields(w)] == ["txt_wqkv", "img_wqkv", "heads"]
+        for name, source in zip(("txt_wqkv", "img_wqkv"), wqkv):
             field = getattr(w, name)
-            assert np.array_equal(field, mats[i]) and not field.flags.writeable
-            assert np.shares_memory(field, w.txt_wqkv if i < 3 else w.img_wqkv)
+            assert np.array_equal(bits(field), bits(source)) and not field.flags.writeable
+            assert field.flags.c_contiguous and not np.shares_memory(field, wqkv)
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(w, name, mats[i] + 1.0)
-        assert np.array_equal(w.img_wqkv, np.concatenate(mats[3:], axis=1))
+                setattr(w, name, source + 1.0)
+        wqkv[:] = 0.0  # the caller's array stays writable and its edits stay out
+        assert not np.array_equal(w.txt_wqkv, wqkv[0])
+
+    @pytest.mark.parametrize("txt_shape, img_shape, message", [
+        ((4, 12), (4, 8), r"img_wqkv must be \(4, 12\), got \(4, 8\)"),
+        ((4, 4), (4, 4), r"txt_wqkv must be \(4, 12\), got \(4, 4\)"),
+        ((4, 12), (8, 24), r"img_wqkv must be \(4, 12\), got \(8, 24\)"),
+    ])
+    def test_layer_weights_fused_shapes(self, rng, txt_shape, img_shape, message):
+        with pytest.raises(ShapeError, match=message):
+            LayerWeights(rng.standard_normal(txt_shape), rng.standard_normal(img_shape), heads=2)
 
     def test_layer_weights_head_divisibility(self, rng):
-        mats = rng.standard_normal((6, 6, 6))
+        wqkv = rng.standard_normal((2, 6, 18))
         with pytest.raises(ShapeError, match="divisible"):
-            LayerWeights(*mats, heads=4)
+            LayerWeights(*wqkv, heads=4)
 
     def test_layer_weights_odd_head_dimension(self, rng):
-        mats = rng.standard_normal((6, 12, 12))
+        wqkv = rng.standard_normal((2, 12, 36))
         with pytest.raises(ShapeError, match="head dimension 3"):
-            LayerWeights(*mats, heads=4)
+            LayerWeights(*wqkv, heads=4)
 
     def test_joint_qkv_range_must_close_the_sequence(self, rng):
         with pytest.raises(ShapeError, match="image range"):
@@ -103,11 +114,11 @@ class TestTypes:
 
     def test_layer_weights_heads_must_be_an_integer(self, rng):
         # heads=2.0 used to pass here and fail later inside run_stack with a TypeError
-        mats = rng.standard_normal((6, 8, 8))
+        wqkv = rng.standard_normal((2, 8, 24))
         with pytest.raises(ValueError, match="^heads must be an integer, got 2.0$"):
-            LayerWeights(*mats, heads=2.0)
-        w = LayerWeights(*mats, heads=np.int64(2))
-        assert w.heads == 2 and type(w.heads) is int and w.head_dim == 4
+            LayerWeights(*wqkv, heads=2.0)
+        w = LayerWeights(*wqkv, heads=np.int64(2))
+        assert w.heads == 2 and type(w.heads) is int
 
 
 class TestRope:
@@ -205,7 +216,7 @@ class TestProjectQKV:
         batch = StreamBatch(txt=rng.standard_normal((3, 16)), img=rng.standard_normal((2, 16)))
         w = make_weights(rng, 16, 2)
         qkv = project_qkv(batch, w)
-        raw_q = (batch.txt @ w.txt_wq).reshape(3, 2, 8)
+        raw_q = (batch.txt @ w.txt_wqkv[:, :16]).reshape(3, 2, 8)
         assert np.array_equal(qkv.q[0], raw_q[0])
         assert not np.array_equal(qkv.q[1], raw_q[1])
 
@@ -214,7 +225,7 @@ class TestProjectQKV:
         w = make_weights(rng, 16, 2)
         qkv = project_qkv(batch, w)
         expected_v = np.concatenate(
-            [(batch.txt @ w.txt_wv).reshape(3, 2, 8), (batch.img @ w.img_wv).reshape(2, 2, 8)]
+            [(batch.txt @ w.txt_wqkv[:, 32:]).reshape(3, 2, 8), (batch.img @ w.img_wqkv[:, 32:]).reshape(2, 2, 8)]
         )
         assert np.array_equal(qkv.v, expected_v)
 

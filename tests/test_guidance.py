@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,8 +37,8 @@ def make_batch(rng, s_t=4, s_i=12, dim=16):
 
 
 def make_weights(rng, dim=16, heads=2):
-    mats = rng.standard_normal((6, dim, dim)) / np.sqrt(dim)
-    return LayerWeights(*mats, heads=heads)
+    wqkv = rng.standard_normal((2, dim, 3 * dim)) / np.sqrt(dim)
+    return LayerWeights(*wqkv, heads=heads)
 
 
 def make_qkv(rng, s_t, s_i, heads, dh):
@@ -151,6 +152,25 @@ class TestGuidanceConfig:
     def test_rejects_negative_scale(self):
         with pytest.raises(ConfigError, match="non-negative"):
             GuidanceConfig(delta_k=-1.0)
+
+    @pytest.mark.parametrize("value", ["1.5", True, np.bool_(False), np.array([1.2]),
+                                       np.array(1.2), None, [1.2], 1 + 0j, np.complex128(1)])
+    def test_scales_must_be_real_numbers(self, rng, value):
+        # float() used to turn '1.5' into 1.5 and True into 1.0, and to raise a
+        # TypeError on None or a complex; every one is the one-line error instead
+        message = f"must be finite and non-negative, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match="^delta_k " + message):
+            GuidanceConfig(delta_k=value)
+        with pytest.raises(ConfigError, match="^delta_v " + message):
+            GuidanceConfig(delta_v=value)
+        with pytest.raises(ValueError, match="^delta_scale " + message):
+            rescale(decompose(rng.standard_normal((4, 1, 2))), value)
+
+    def test_scales_accept_python_and_numpy_reals(self):
+        for value in (2, 1.5, np.int64(2), np.float32(1.5), np.float64(0.0)):
+            cfg = GuidanceConfig(delta_k=value, delta_v=value)
+            assert cfg.delta_k == float(value) and type(cfg.delta_k) is float
+            assert type(cfg.delta_v) is float
 
     def test_roundtrip_through_text(self):
         text = "delta_k = 1.3\ndelta_v = 0.90000000000000002\n"

@@ -53,8 +53,8 @@ class TestToyStack:
         a = ToyStack.seeded(7, layers=3, steps=2, dim=8, heads=2)
         b = ToyStack.seeded(7, layers=3, steps=2, dim=8, heads=2)
         for wa, wb in zip(a.layers, b.layers):
-            assert np.array_equal(wa.txt_wq, wb.txt_wq)
-            assert np.array_equal(wa.img_wv, wb.img_wv)
+            assert np.array_equal(bits(wa.txt_wqkv), bits(wb.txt_wqkv))
+            assert np.array_equal(bits(wa.img_wqkv), bits(wb.img_wqkv))
         assert np.array_equal(bits(a.embeddings), bits(b.embeddings))
 
     def test_embeddings_are_the_step_draws_read_only(self):
@@ -66,7 +66,9 @@ class TestToyStack:
         with pytest.raises(ValueError):
             stack.embeddings[0, 0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            stack.seed = 8  # the embeddings could not follow it
+            stack.embeddings = np.zeros((4, 8))
+        assert (stack.step_count, stack.dim) == (4, 8)
+        assert [f.name for f in dataclasses.fields(stack)] == ["layers", "embeddings"]
 
     def test_embeddings_are_the_one_step_accessor(self):
         # a float step index is an error, not a truncated step
@@ -77,11 +79,35 @@ class TestToyStack:
 
     def test_layers_get_distinct_weights(self):
         stack = ToyStack.seeded(7, layers=2, steps=1, dim=8, heads=2)
-        assert not np.array_equal(stack.layers[0].txt_wq, stack.layers[1].txt_wq)
+        assert not np.array_equal(stack.layers[0].txt_wqkv, stack.layers[1].txt_wqkv)
 
     def test_weight_scale(self):
         stack = ToyStack.seeded(7, layers=1, steps=1, dim=64, heads=4)
-        assert stack.layers[0].txt_wq.std() == pytest.approx(1.0 / 8.0, rel=0.1)
+        assert stack.layers[0].txt_wqkv.std() == pytest.approx(1.0 / 8.0, rel=0.1)
+
+    def test_layers_are_the_fused_weight_draws(self):
+        # layer i draws [txt Wq, Wk, Wv, img Wq, Wk, Wv] as one (6, D, D) block from
+        # child seed (0, i) of the stack's seed; each stream stores its three side by side
+        stack = ToyStack.seeded(7, layers=2, steps=1, dim=8, heads=2)
+        for i, w in enumerate(stack.layers):
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0, i)))
+            mats = (1.0 / np.sqrt(8)) * rng.standard_normal((6, 8, 8))
+            assert np.array_equal(bits(w.txt_wqkv), bits(np.concatenate(mats[:3], axis=1)))
+            assert np.array_equal(bits(w.img_wqkv), bits(np.concatenate(mats[3:], axis=1)))
+
+    def test_build_peak_is_one_layer_draw_above_what_it_holds(self):
+        # the (6, D, D) draw is dropped before LayerWeights copies its fused streams,
+        # so building holds at most one layer's weights beyond the finished stack
+        dim = 256
+        ToyStack.seeded(42, layers=1, steps=1, dim=8, heads=4)  # one-time allocations
+        tracemalloc.start()
+        try:
+            stack = ToyStack.seeded(42, layers=8, steps=6, dim=dim, heads=4)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= 8 * 6 * dim * dim * 8 and len(stack.layers) == 8
+        assert peak <= held + 6 * dim * dim * 8 + 64 * 1024
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -97,18 +123,45 @@ class TestToyStack:
         with pytest.raises(ValueError, match="heads must be positive"):
             ToyStack.seeded(42, layers=layers, steps=1, dim=8, heads=0)
 
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_zero_steps_rejected(self, layers):
+        with pytest.raises(ValueError, match="steps must be positive"):
+            ToyStack.seeded(42, layers=layers, steps=0, dim=8, heads=2)
+
     def test_negative_layer_count_rejected(self):
         with pytest.raises(ValueError, match="layer count must be non-negative"):
             ToyStack.seeded(42, layers=-1, steps=1, dim=8, heads=2)
 
-    def test_constructor_validates_dims_and_steps(self):
+    def test_constructor_validates_layers_against_each_other(self):
+        # every layer has the embeddings' D and the first layer's head count
         layer = ToyStack.seeded(42, layers=1, steps=1, dim=8, heads=2).layers[0]
-        with pytest.raises(ValueError, match="dim must be positive"):
-            ToyStack(layers=(), seed=1, dim=0, step_count=1)
-        with pytest.raises(ValueError, match="step_count must be positive"):
-            ToyStack(layers=(), seed=1, dim=8, step_count=0)
-        with pytest.raises(ShapeError, match="layer 0 has dim 8"):
-            ToyStack(layers=(layer,), seed=1, dim=16, step_count=1)
+        wide = ToyStack.seeded(42, layers=1, steps=1, dim=16, heads=2).layers[0]
+        four = ToyStack.seeded(42, layers=1, steps=1, dim=8, heads=4).layers[0]
+        steps = np.zeros((2, 8))
+        with pytest.raises(ShapeError, match="^layer 0 has dim 8 and 2 heads, stack expects dim 16"):
+            ToyStack(layers=(layer,), embeddings=np.zeros((2, 16)))
+        with pytest.raises(ShapeError, match="^layer 1 has dim 16 and 2 heads, stack expects dim 8"):
+            ToyStack(layers=(layer, wide), embeddings=steps)
+        with pytest.raises(ShapeError, match="^layer 2 has dim 8 and 4 heads, stack expects "
+                                             "dim 8 and 2 heads$"):
+            ToyStack(layers=[layer, layer, four], embeddings=steps)
+        stack = ToyStack(layers=[four, four], embeddings=steps)
+        assert stack.layers == (four, four) and (stack.dim, stack.step_count) == (8, 2)
+
+    @pytest.mark.parametrize("embeddings, error", [
+        (np.zeros(8), ShapeError), (np.zeros((1, 2, 8)), ShapeError), (np.zeros((0, 8)), ShapeError),
+        (np.zeros((2, 0)), ShapeError), (np.array([[0.0, np.inf]]), ValueError),
+        (np.array([[np.nan, 0.0]]), ValueError), (None, ValueError),
+    ])
+    def test_constructor_rejects_a_bad_embeddings_block(self, embeddings, error):
+        with pytest.raises(error, match="embeddings"):
+            ToyStack(layers=(), embeddings=embeddings)
+
+    def test_embeddings_are_a_private_copy(self):
+        source = np.ones((2, 8))
+        stack = ToyStack(layers=(), embeddings=source)
+        source[0, 0] = 5.0  # the caller's array stays writable and its edits stay out
+        assert stack.embeddings[0, 0] == 1.0 and not stack.embeddings.flags.writeable
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.9), ("layers", 1.0), ("steps", 2.7), ("dim", 8.0), ("heads", 2.0), ("seed", "1"),
@@ -120,18 +173,12 @@ class TestToyStack:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             ToyStack.seeded(seed, **kwargs)
 
-    def test_constructor_rejects_non_integer_dim_and_steps(self):
-        with pytest.raises(ValueError, match="^dim must be an integer, got 8.0$"):
-            ToyStack(layers=(), seed=1, dim=8.0, step_count=1)
-        with pytest.raises(ValueError, match="^step_count must be an integer, got 1.5$"):
-            ToyStack(layers=(), seed=1, dim=8, step_count=1.5)
-
     def test_numpy_integer_arguments_are_accepted(self):
         plain = ToyStack.seeded(1, layers=2, steps=3, dim=8, heads=2)
         numpy = ToyStack.seeded(np.int64(1), layers=np.int32(2), steps=np.uint8(3),
                                 dim=np.int64(8), heads=np.int16(2))
-        assert (numpy.seed, numpy.step_count, numpy.dim) == (1, 3, 8)
-        assert type(numpy.seed) is int and type(numpy.dim) is int
+        assert (numpy.step_count, numpy.dim) == (3, 8)
+        assert type(numpy.step_count) is int and type(numpy.dim) is int
         assert all(type(w.heads) is int and w.heads == 2 for w in numpy.layers)
         assert np.array_equal(numpy.embeddings, plain.embeddings)
         assert all(np.array_equal(a.txt_wqkv, b.txt_wqkv) and np.array_equal(a.img_wqkv, b.img_wqkv)
@@ -167,7 +214,7 @@ class TestRunStack:
         assert np.array_equal(run_stack(stack, batch, cfg), run_stack(stack, batch, cfg))
 
     def test_empty_stack_accumulates_step_embeddings(self, batch):
-        stack = ToyStack(layers=(), seed=9, dim=DIM, step_count=3)
+        stack = ToyStack(layers=(), embeddings=np.arange(3 * DIM).reshape(3, DIM) / 7.0)
         out = run_stack(stack, batch, None)
         expected = np.array(batch.img)
         for t in range(3):

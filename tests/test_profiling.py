@@ -19,6 +19,7 @@ from dcag import (
     run_stack,
     seeded_batch,
 )
+from dcag.attention import _BAND_BYTES
 
 
 class TestRatio:
@@ -112,9 +113,9 @@ class TestProfileStack:
 
     def test_single_image_token_gives_zero_ratios(self):
         # with one image token the deltas vanish identically
-        eye = np.eye(8)
-        layer = LayerWeights(eye, eye, eye, eye, eye, eye, heads=2)
-        stack = ToyStack(layers=(layer,), seed=0, dim=8, step_count=1)
+        eye = np.tile(np.eye(8), 3)  # [I|I|I]
+        layer = LayerWeights(eye, eye, heads=2)
+        stack = ToyStack(layers=(layer,), embeddings=np.ones((1, 8)))
         batch = StreamBatch(txt=np.ones((2, 8)), img=np.full((1, 8), 3.0))
         pk, pv = profile_stack(stack, batch)
         assert np.array_equal(pk, np.zeros((1, 1)))
@@ -160,12 +161,13 @@ def profile_peak(layers: int) -> int:
         tracemalloc.stop()
 
 
-def test_profile_memory_is_one_square_buffer_at_any_depth():
-    # one (S, S) weights buffer plus O(S·D) working memory, whatever the layer
-    # count: no per-layer weight copies or RoPE tables, and a tap that copies nothing
+def test_profile_memory_is_one_band_buffer_at_any_depth():
+    # one query-row band of weights, at most _BAND_BYTES, plus O(S·D) working memory,
+    # whatever the layer count: no per-layer weight copies or RoPE tables, and a tap
+    # that copies nothing
     s, d = 8 + 1024, 64
     deep = profile_peak(8)
-    assert deep < s * s * 8 + 8 * s * d * 8
+    assert deep < _BAND_BYTES + 8 * s * d * 8
     # the interpreter's own allocations move the peak by a few KiB from run to
     # run; one layer's (D, 3D) weights alone are 96 KiB, its RoPE table 129 KiB
     assert deep < profile_peak(1) + 16 * 1024
