@@ -83,6 +83,8 @@ class LayerWeights:
     heads: int
 
     def __post_init__(self):
+        if np.ndim(self.txt_wqkv) == 0:  # dim reads txt_wqkv's rows
+            raise ShapeError("txt_wqkv must be a (D, 3D) matrix, got a scalar")
         for name in ("txt_wqkv", "img_wqkv"):
             object.__setattr__(self, name, _frozen(getattr(self, name), name))
             if getattr(self, name).shape != (d := self.dim, 3 * d):  # D from txt_wqkv, frozen first

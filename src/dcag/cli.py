@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .attention import _group_shape, _logits, attention_weights, joint_attention, project_qkv
-from .contours import contour_text, iso_contour
+from .contours import contour_text, marching_squares
 from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, apply_dcag, load_config
 from .harness import _METRICS, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
-from .metrics import SSIM_WINDOW
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
 from .tensors import _SOFTMAX_BLOCK_BYTES
 
@@ -51,8 +50,8 @@ def _value_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError(f"range count must be at least 1, got {count}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise argparse.ArgumentTypeError(f"range endpoints must be finite, got {text!r}")
+    if not math.isfinite(stop - start):  # also false for a non-finite endpoint
+        raise argparse.ArgumentTypeError(f"range start, stop and span must be finite, got {text!r}")
     return start, stop, count
 
 
@@ -250,14 +249,6 @@ def _grid_values(flag: str, value_range) -> np.ndarray:
 
 def _cmd_sweep(args) -> int:
     _check_memory(args)
-    side = math.isqrt(args.img_tokens)
-    if side * side != args.img_tokens:
-        raise ConfigError(f"--img-tokens {args.img_tokens} is not a perfect square")
-    if side < SSIM_WINDOW:
-        raise ConfigError(
-            f"--img-tokens {args.img_tokens} renders a {side}x{side} image; ssim needs "
-            f"at least {SSIM_WINDOW} pixels per side ({SSIM_WINDOW ** 2} tokens)"
-        )
     stack = ToyStack.seeded(args.seed, layers=args.layers, steps=args.steps,
                             dim=args.dim, heads=args.heads)
     batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
@@ -265,10 +256,11 @@ def _cmd_sweep(args) -> int:
     contours = _contour_files(args.contour)
     dk_values = _grid_values("--dk", args.dk)
     dv_values = _grid_values("--dv", args.dv)
-    result = sweep(stack, batch, dk_values, dv_values)
-    artifacts = {"sweep.csv": sweep_csv(result)}
+    surfaces = sweep(stack, batch, dk_values, dv_values)
+    artifacts = {"sweep.csv": sweep_csv(dk_values, dv_values, surfaces)}
     for name, (metric, level) in contours.items():
-        artifacts[name] = contour_text(iso_contour(result, metric, level))
+        polylines = marching_squares(dk_values, dv_values, surfaces[metric], level)
+        artifacts[name] = contour_text(polylines)
     outdir = Path(args.out)
     _write_artifacts(outdir, artifacts)
     points = dk_values.size * dv_values.size

@@ -4,17 +4,16 @@ Cells are classified corner by corner against the level (a corner exactly
 at the level counts as above it), crossings are placed by linear
 interpolation along cell edges, and the per-cell segments are chained into
 polylines. Saddle cells are disambiguated by the cell-center average.
+A sweep's iso-contour is marching_squares(dk_values, dv_values,
+surfaces[metric], level), in (delta_k, delta_v) coordinates.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ShapeError
-from .harness import SweepResult
 from .tensors import as_tensor
 
-__all__ = ["marching_squares", "iso_contour", "contour_text"]
+__all__ = ["marching_squares", "contour_text"]
 
 # Segment table indexed by corner bits (b00 | b10<<1 | b11<<2 | b01<<3);
 # edges are S, E, N, W of the cell. Saddle cases 5 and 10 hold two choices,
@@ -120,14 +119,6 @@ def marching_squares(xs, ys, values, level: float):
                     _edge_crossing(xs, ys, values, level, edge_b, i, j),
                 ))
     return _chain(segments)
-
-
-def iso_contour(result: SweepResult, metric: str, level: float):
-    """Iso-level polylines of a sweep metric in (delta_k, delta_v) coordinates."""
-    surface = result.surface(metric)
-    return marching_squares(
-        np.asarray(result.dk_values), np.asarray(result.dv_values), surface, level
-    )
 
 
 def contour_text(polylines) -> str:

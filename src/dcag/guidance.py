@@ -19,6 +19,7 @@ _decompose.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,9 +62,10 @@ def _sum_error(a, b, s):
 def _check_scale(value, name: str) -> float:
     """A real scale (int, float or numpy real, not bool) as a finite non-negative float."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    return float(value)
+    with contextlib.suppress(OverflowError):  # float() of an int beyond float range
+        if real and 0.0 <= float(value) < math.inf:
+            return float(value)
+    raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass

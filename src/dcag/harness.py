@@ -4,7 +4,8 @@ The stack stands in for a full-scale dual-stream diffusion transformer at
 desk scale: per step it injects a seeded embedding into the image tokens
 and runs every attention layer with residual connections. Everything is a
 pure function of the seed and the shape parameters, so sweeps and their CSV
-artifacts are byte-stable across runs.
+artifacts are byte-stable across runs. A sweep returns plain arrays, one
+surface per metric; its caller keeps the grid it passed in.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .attention import (LayerWeights, StreamBatch, _attend, _frozen, _group_buff
                         _rope_table)
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _guide
-from .metrics import mse, psnr, ssim
+from .metrics import SSIM_WINDOW, mse, psnr, ssim
 from .tensors import as_index, as_tensor, check_finite
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "run_stack",
     "token_grid",
     "render_tokens",
-    "SweepResult",
     "sweep",
     "sweep_csv",
 ]
@@ -193,41 +193,24 @@ def render_tokens(block, lo: float, hi: float) -> np.ndarray:
     return np.clip((grid - lo) / (hi - lo), 0.0, 1.0)
 
 
-@dataclass
-class SweepResult:
-    """Fidelity surfaces over the Cartesian (delta_k, delta_v) grid.
+def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> dict[str, np.ndarray]:
+    """One (n_dk, n_dv) surface per _METRICS name; [i, j] scores (dk_values[i], dv_values[j]).
 
-    surfaces maps each _METRICS name to an (n_dk, n_dv) array whose entry
-    [i, j] scores (dk_values[i], dv_values[j]) against the rendered
-    identity-config output.
-    """
-
-    dk_values: tuple[float, ...]
-    dv_values: tuple[float, ...]
-    surfaces: dict[str, np.ndarray]
-
-    def surface(self, metric: str) -> np.ndarray:
-        """One metric's (n_dk, n_dv) surface over the swept values."""
-        if metric not in _METRICS:
-            raise ValueError(f"unknown metric {metric!r}, expected one of {tuple(_METRICS)}")
-        return self.surfaces[metric]
-
-
-def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepResult:
-    """Run the stack at every (delta_k, delta_v) and score against (1, 1).
-
-    The reference is the identity-config output; its rendering range
-    normalizes every grid point's image. A (1, 1) grid point reuses the
-    rendered reference, the same bits a run would give, and scores mse 0,
-    psnr at cap, ssim 1.
+    Each point is scored against the identity-config output, whose rendering
+    range normalizes every point's image. Every point's config and the batch's
+    rendering size are checked before the stack runs at all. A (1, 1) grid
+    point reuses the rendered reference, the same bits a run would give, and
+    scores mse 0, psnr at cap, ssim 1.
     """
     dks = [float(v) for v in dk_values]
     dvs = [float(v) for v in dv_values]
     if not dks or not dvs:
         raise ValueError("sweep needs non-empty delta_k and delta_v value lists")
-
-    # every point's config is checked before the stack runs at all
     configs = [[GuidanceConfig(delta_k=dk, delta_v=dv) for dv in dvs] for dk in dks]
+    if (side := token_grid(batch.img).shape[0]) < SSIM_WINDOW:  # token_grid checks the square
+        raise ShapeError(f"{batch.img.shape[0]} image tokens render {side} x {side} pixels; ssim "
+                         f"needs at least {SSIM_WINDOW} per side")
+
     identity = GuidanceConfig.identity()
     reference_block = run_stack(stack, batch, identity)
     grid = token_grid(reference_block)
@@ -243,13 +226,17 @@ def sweep(stack: ToyStack, batch: StreamBatch, dk_values, dv_values) -> SweepRes
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
             for name, metric in _METRICS.items():
                 surfaces[name][i, j] = metric(image, reference)
-    return SweepResult(dk_values=tuple(dks), dv_values=tuple(dvs), surfaces=surfaces)
+    return surfaces
 
 
-def sweep_csv(result: SweepResult) -> str:
+def sweep_csv(dk_values, dv_values, surfaces) -> str:
     """CSV rows delta_k,delta_v then each _METRICS surface's value, row-major, 17 digits."""
-    points = [(dk, dv) for dk in result.dk_values for dv in result.dv_values]
-    scores = zip(*(result.surface(name).ravel().tolist() for name in _METRICS))
+    grid = (len(dk_values), len(dv_values))
+    for name in _METRICS:
+        if (shape := np.shape(surfaces.get(name))) != grid:
+            raise ShapeError(f"{name} surface has shape {shape}, grid is {grid}")
+    points = [(dk, dv) for dk in dk_values for dv in dv_values]
+    scores = zip(*(np.ravel(surfaces[name]).tolist() for name in _METRICS))
     lines = [",".join(["delta_k", "delta_v", *_METRICS])]
     for point, values in zip(points, scores):
         lines.append(",".join(f"{value:.17g}" for value in (*point, *values)))

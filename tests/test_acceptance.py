@@ -233,11 +233,12 @@ def test_c10_sweep_and_contour():
     dk_values = np.linspace(1.0, 1.2, 5)
     dv_values = np.linspace(1.0, 1.2, 5)
 
-    result = sweep(stack, batch, dk_values, dv_values)
-    assert (result.dk_values[0], result.dv_values[0]) == (1.0, 1.0)
+    surfaces = sweep(stack, batch, dk_values, dv_values)
+    assert (dk_values[0], dv_values[0]) == (1.0, 1.0)
+    assert list(surfaces) == ["mse", "psnr", "ssim"]
     for metric, exact in (("mse", 0.0), ("psnr", 100.0), ("ssim", 1.0)):
-        assert result.surface(metric).shape == (5, 5)
-        assert result.surface(metric)[0, 0] == exact
+        assert surfaces[metric].shape == (5, 5)
+        assert surfaces[metric][0, 0] == exact
 
     xs = ys = np.linspace(1.0, 2.0, 9)
     plane = xs[:, None] + ys[None, :]
@@ -247,6 +248,6 @@ def test_c10_sweep_and_contour():
         for x, y in line:
             assert abs((x + y) - 2.5) <= 1e-9
 
-    repeat = sweep_csv(sweep(stack, batch, dk_values, dv_values))
-    assert sweep_csv(result).encode("utf-8") == repeat.encode("utf-8")
+    repeat = sweep_csv(dk_values, dv_values, sweep(stack, batch, dk_values, dv_values))
+    assert sweep_csv(dk_values, dv_values, surfaces).encode("utf-8") == repeat.encode("utf-8")
     report(10, "5x5 sweep exact at origin, contour on the line at 1e-9, byte-stable CSV")

@@ -76,6 +76,7 @@ class TestTypes:
         ((4, 12), (4, 8), r"img_wqkv must be \(4, 12\), got \(4, 8\)"),
         ((4, 4), (4, 4), r"txt_wqkv must be \(4, 12\), got \(4, 4\)"),
         ((4, 12), (8, 24), r"img_wqkv must be \(4, 12\), got \(8, 24\)"),
+        ((), (2, 6), r"txt_wqkv must be a \(D, 3D\) matrix, got a scalar"),
     ])
     def test_layer_weights_fused_shapes(self, rng, txt_shape, img_shape, message):
         with pytest.raises(ShapeError, match=message):

@@ -356,6 +356,15 @@ class TestErrors:
         err = result.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
 
+    def test_overflowing_range_span_is_one_line(self, tmp_path):
+        # linspace would overflow computing 1e308 - (-1e308) and print numpy warnings
+        out = tmp_path / "out"
+        result = run_cli("sweep", *FAST_SWEEP, "--dk", "1e308:-1e308:3", "--out", str(out))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert result.stdout == "" and not out.exists()
+
     def test_overflowing_key_scale_in_attend_is_one_line(self, tmp_path):
         config = tmp_path / "guidance.cfg"
         config.write_text("delta_k = 1e308\n")

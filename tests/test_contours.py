@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from dcag import ShapeError, SweepResult, contour_text, iso_contour, marching_squares
+from dcag import ShapeError, contour_text, marching_squares
 from oracles import bilinear
 
 
 def surface_result(dk_values, dv_values, fn):
-    """Build a SweepResult whose mse surface is an analytic function."""
+    """Sweep-shaped surfaces, one (n_dk, n_dv) array per metric; mse is an analytic function."""
     shape = (len(dk_values), len(dv_values))
-    surfaces = {"mse": np.array([[fn(dk, dv) for dv in dv_values] for dk in dk_values]),
-                "psnr": np.full(shape, 1.0), "ssim": np.full(shape, 0.5)}
-    return SweepResult(tuple(dk_values), tuple(dv_values), surfaces)
+    return {"mse": np.array([[fn(dk, dv) for dv in dv_values] for dk in dk_values]),
+            "psnr": np.full(shape, 1.0), "ssim": np.full(shape, 0.5)}
 
 
 class TestMarchingSquares:
@@ -96,13 +95,16 @@ class TestIsoContour:
     def test_plane_through_sweep_result(self):
         dks = np.linspace(1.0, 1.2, 5)
         dvs = np.linspace(1.0, 1.2, 5)
-        result = surface_result(dks, dvs, lambda dk, dv: dk + dv)
-        for x, y in (v for line in iso_contour(result, "mse", 2.25) for v in line):
+        surfaces = surface_result(dks, dvs, lambda dk, dv: dk + dv)
+        polylines = marching_squares(dks, dvs, surfaces["mse"], 2.25)
+        assert polylines
+        for x, y in (v for line in polylines for v in line):
             assert abs((x + y) - 2.25) <= 1e-9
 
     def test_level_above_surface_is_empty(self):
-        result = surface_result([1.0, 1.1], [1.0, 1.1], lambda dk, dv: 0.0)
-        assert iso_contour(result, "mse", 0.9) == []
+        grid = [1.0, 1.1]
+        surfaces = surface_result(grid, grid, lambda dk, dv: 0.0)
+        assert marching_squares(grid, grid, surfaces["mse"], 0.9) == []
 
 
 class TestContourText:

@@ -154,10 +154,13 @@ class TestGuidanceConfig:
             GuidanceConfig(delta_k=-1.0)
 
     @pytest.mark.parametrize("value", ["1.5", True, np.bool_(False), np.array([1.2]),
-                                       np.array(1.2), None, [1.2], 1 + 0j, np.complex128(1)])
+                                       np.array(1.2), None, [1.2], 1 + 0j, np.complex128(1),
+                                       pytest.param(2 ** 1100, id="2**1100"),
+                                       pytest.param(10 ** 400, id="10**400")])
     def test_scales_must_be_real_numbers(self, rng, value):
         # float() used to turn '1.5' into 1.5 and True into 1.0, and to raise a
-        # TypeError on None or a complex; every one is the one-line error instead
+        # TypeError on None or a complex; math.isfinite raised an OverflowError on
+        # an int beyond float range; every one is the one-line error instead
         message = f"must be finite and non-negative, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigError, match="^delta_k " + message):
             GuidanceConfig(delta_k=value)

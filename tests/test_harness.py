@@ -312,20 +312,22 @@ class TestRendering:
 
 class TestSweep:
     def test_grid_order_and_size(self, stack, batch):
-        result = sweep(stack, batch, [1.0, 1.1, 1.2], [1.0, 1.05, 1.1])
-        assert (result.dk_values, result.dv_values) == ((1.0, 1.1, 1.2), (1.0, 1.05, 1.1))
-        assert [result.surface(name).shape for name in ("mse", "psnr", "ssim")] == [(3, 3)] * 3
-        rows = [line.split(",")[:2] for line in sweep_csv(result).splitlines()[1:]]
+        dks, dvs = [1.0, 1.1, 1.2], [1.0, 1.05, 1.1]
+        surfaces = sweep(stack, batch, dks, dvs)
+        assert list(surfaces) == ["mse", "psnr", "ssim"]
+        assert [surfaces[name].shape for name in ("mse", "psnr", "ssim")] == [(3, 3)] * 3
+        assert all(surface.dtype == np.float64 for surface in surfaces.values())
+        rows = [line.split(",")[:2] for line in sweep_csv(dks, dvs, surfaces).splitlines()[1:]]
         assert len(rows) == 9
         assert [(float(dk), float(dv)) for dk, dv in rows[:4]] == [
             (1.0, 1.0), (1.0, 1.05), (1.0, 1.1), (1.1, 1.0),
         ]
 
     def test_identity_point_scores_perfectly(self, stack, batch):
-        result = sweep(stack, batch, [1.0, 1.1], [1.0, 1.1])
-        assert result.surface("mse")[0, 0] == 0.0
-        assert result.surface("psnr")[0, 0] == PSNR_CAP_DB
-        assert result.surface("ssim")[0, 0] == 1.0
+        surfaces = sweep(stack, batch, [1.0, 1.1], [1.0, 1.1])
+        assert surfaces["mse"][0, 0] == 0.0
+        assert surfaces["psnr"][0, 0] == PSNR_CAP_DB
+        assert surfaces["ssim"][0, 0] == 1.0
 
     def test_key_only_column_matches_key_only_wiring_bitwise(self, stack, batch):
         # a separate stack loop that only ever touches K must reproduce the
@@ -350,9 +352,10 @@ class TestSweep:
             assert np.array_equal(run_stack(stack, batch, cfg), key_only_output(dk))
 
     def test_csv_is_byte_stable(self, stack, batch):
-        result = sweep(stack, batch, [1.0, 1.1], [1.0, 1.1])
-        first = sweep_csv(result)
-        second = sweep_csv(sweep(stack, batch, [1.0, 1.1], [1.0, 1.1]))
+        grid = [1.0, 1.1]
+        surfaces = sweep(stack, batch, grid, grid)
+        first = sweep_csv(grid, grid, surfaces)
+        second = sweep_csv(grid, grid, sweep(stack, batch, grid, grid))
         assert first.encode() == second.encode()
         lines = first.splitlines()
         assert lines[0] == "delta_k,delta_v,mse,psnr,ssim"
@@ -362,13 +365,40 @@ class TestSweep:
         assert lines[0].split(",") == ["delta_k", "delta_v", *dcag.harness._METRICS]
         for row, (i, j) in zip(lines[1:], [(0, 0), (0, 1), (1, 0), (1, 1)]):
             values = [float(x) for x in row.split(",")[2:]]
-            assert values == [result.surface(name)[i, j] for name in dcag.harness._METRICS]
+            assert values == [surfaces[name][i, j] for name in dcag.harness._METRICS]
 
     def test_surface_shape(self, stack, batch):
-        result = sweep(stack, batch, [1.0, 1.1, 1.2], [1.0, 1.05])
-        assert result.surface("mse").shape == (3, 2)
-        with pytest.raises(ValueError, match="unknown metric"):
-            result.surface("sharpness")
+        surfaces = sweep(stack, batch, [1.0, 1.1, 1.2], [1.0, 1.05])
+        assert {name: surface.shape for name, surface in surfaces.items()} == {
+            name: (3, 2) for name in dcag.harness._METRICS}
+
+    @pytest.mark.parametrize("name, surface, shape", [
+        ("mse", np.zeros((2, 1)), r"\(2, 1\)"),  # zip would silently drop two points
+        ("ssim", np.zeros(4), r"\(4,\)"),
+        ("psnr", None, r"\(\)"),  # not an array
+    ])
+    def test_csv_rejects_a_surface_off_the_grid(self, name, surface, shape):
+        grid = [1.0, 1.1]
+        surfaces = {metric: np.zeros((2, 2)) for metric in dcag.harness._METRICS}
+        assert len(sweep_csv(grid, grid, surfaces).splitlines()) == 5
+        surfaces[name] = surface
+        message = f"^{name} surface has shape {shape}, grid is \\(2, 2\\)$"
+        with pytest.raises(ShapeError, match=message):
+            sweep_csv(grid, grid, surfaces)
+        del surfaces[name]
+        with pytest.raises(ShapeError, match=f"^{name} surface has shape \\(\\)"):
+            sweep_csv(grid, grid, surfaces)
+
+    @pytest.mark.parametrize("img_tokens, message", [
+        (120, "token count 120 is not a perfect square"),
+        (64, "64 image tokens render 8 x 8 pixels; ssim needs at least 11 per side"),
+    ])
+    def test_unrenderable_batch_rejected_before_the_stack_runs(self, stack, monkeypatch,
+                                                               img_tokens, message):
+        batch = seeded_batch(3, txt_tokens=TXT, img_tokens=img_tokens, dim=DIM)
+        monkeypatch.setattr(dcag.harness, "run_stack", lambda *a, **k: pytest.fail("stack ran"))
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            sweep(stack, batch, [1.0, 1.1], [1.0])
 
     @pytest.mark.parametrize("dks, dvs", [
         ([1.0, 1.1, 1.2], [1.0, 1.05]),  # (1, 1) reuses the reference: 6 runs
@@ -384,7 +414,7 @@ class TestSweep:
             return run_stack(*args, **kwargs)
 
         monkeypatch.setattr(dcag.harness, "run_stack", counted)
-        result = sweep(stack, batch, dks, dvs)
+        surfaces = sweep(stack, batch, dks, dvs)
         monkeypatch.undo()
         points = len(dks) * len(dvs)
         assert len(calls) == (points if 1.0 in dks and 1.0 in dvs else points + 1)
@@ -400,10 +430,9 @@ class TestSweep:
                 image = render_tokens(run_stack(stack, batch, cfg), lo, hi)
                 for name, metric in (("mse", mse), ("psnr", psnr), ("ssim", ssim)):
                     expected[name][i, j] = metric(image, reference)
-        assert (result.dk_values, result.dv_values) == (tuple(dks), tuple(dvs))
-        assert sorted(result.surfaces) == sorted(expected)
+        assert list(surfaces) == list(expected)
         for name, surface in expected.items():
-            assert np.array_equal(bits(result.surface(name)), bits(surface))
+            assert np.array_equal(bits(surfaces[name]), bits(surface))
 
     @pytest.mark.parametrize("dks, dvs", [([1.0, 1.1, -0.1], [1.0]), ([1.0], [1.2, -0.1])])
     def test_negative_value_rejected_before_the_stack_runs(self, stack, batch, monkeypatch,
