@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows, as_index, as_tensor, check_finite
+from .tensors import _softmax_rows, as_index, as_tensor, check_finite
 
 __all__ = [
     "StreamBatch",
@@ -42,7 +42,7 @@ def _frozen(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamBatch:
     """Paired text (S_t, D) and image (S_i, D) token blocks."""
 
@@ -50,8 +50,8 @@ class StreamBatch:
     img: np.ndarray
 
     def __post_init__(self):
-        self.txt = _frozen(self.txt, "txt")
-        self.img = _frozen(self.img, "img")
+        for name in ("txt", "img"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
         if self.txt.ndim != 2 or self.img.ndim != 2:
             raise ShapeError(
                 f"streams must be 2D token blocks, got txt {self.txt.shape}, img {self.img.shape}"
@@ -103,7 +103,7 @@ class LayerWeights:
         return self.txt_wqkv.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointQKV:
     """Concatenated per-head Q, K, V of shape (S, H, d_h).
 
@@ -118,16 +118,16 @@ class JointQKV:
     img_range: tuple[int, int]
 
     def __post_init__(self):
-        self.q = _frozen(self.q, "q")
-        self.k = _frozen(self.k, "k")
-        self.v = _frozen(self.v, "v")
+        for name in ("q", "k", "v"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
         if self.q.ndim != 3:
             raise ShapeError(f"q/k/v must be (S, H, d_h), got {self.q.shape}")
         if self.k.shape != self.q.shape or self.v.shape != self.q.shape:
             raise ShapeError(
                 f"q, k, v shapes disagree: {self.q.shape}, {self.k.shape}, {self.v.shape}"
             )
-        self.img_range = i_s, i_e = tuple(as_index(i, "img_range bound") for i in self.img_range)
+        i_s, i_e = (as_index(i, "img_range bound") for i in self.img_range)
+        object.__setattr__(self, "img_range", (i_s, i_e))
         if not (0 <= i_s < i_e == self.q.shape[0]):
             raise ShapeError(
                 f"image range {self.img_range} inconsistent with sequence length {self.q.shape[0]}"
@@ -139,8 +139,8 @@ class JointQKV:
         qkv = cls.__new__(cls)
         for name, arr in (("q", q), ("k", k), ("v", v)):
             arr.flags.writeable = False
-            setattr(qkv, name, check_finite(arr, name))
-        qkv.img_range = img_range
+            object.__setattr__(qkv, name, check_finite(arr, name))
+        object.__setattr__(qkv, "img_range", img_range)
         return qkv
 
 
@@ -224,58 +224,51 @@ def project_qkv(batch: StreamBatch, weights: LayerWeights) -> JointQKV:
 
 
 def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Scaled logits (G, R, S) of G heads' (R, G, d_h) q against (S, G, d_h) k, into out."""
-    np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=out)
-    out *= 1.0 / np.sqrt(q.shape[2])
+    """Scaled logits (R, S) of one head's (R, d_h) q against its (S, d_h) k, into out."""
+    np.matmul(q, k.T, out=out)
+    out *= 1.0 / np.sqrt(q.shape[1])
     return out
 
 
 _BAND_BYTES = 4 * 1024 * 1024  # bound on one query-row band of the weights (one row if larger)
 
 
-def _group_shape(s: int, heads: int) -> tuple[int, int, int]:
-    """The (G, R, S) of _group_buffer, which cli also counts without allocating it.
+def _band_shape(s: int) -> tuple[int, int]:
+    """The (R, S) weights buffer of _attend, which cli also counts without allocating it.
 
     R is the largest of the fewest near-equal query-row bands of at most _BAND_BYTES
-    (one row if a row is larger), so R = S when one (S, S) fits; G heads (at least
-    one) fit their (R, S) in one softmax row block.
+    (one row if a row is larger), so R = S when one (S, S) fits.
     """
     bands = -(-s // max(1, _BAND_BYTES // (8 * s)))
-    r = -(-s // bands)
-    return max(1, min(heads, _SOFTMAX_BLOCK_BYTES // (8 * r * s))), r, s
-
-
-def _group_buffer(s: int, heads: int) -> np.ndarray:
-    return np.empty(_group_shape(s, heads))
+    return -(-s // bands), s
 
 
 def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Attention of (S, H, d_h) blocks into out (S, H, d_h), G heads and R query rows at a time.
+    """Attention of (S, H, d_h) blocks into out (S, H, d_h), one head and R query rows at a time.
 
-    weights is a C-contiguous (G, R, S) buffer, G = 1 or R = S. Per group of G heads
-    the S query rows run in the fewest bands of at most R rows (sizes within one row),
-    each as one batched logits matmul against every key, one softmax and one batched
-    weighted sum on a prefix of the buffer; R = S leaves the last group's weights.
-    Any G gives the bits of a loop over heads (the same per-head gemm calls); bands
-    give the unbanded bits where OpenBLAS rounds a band as it rounds the full product.
+    weights is a C-contiguous (R, S) buffer. Per head the S query rows run in the
+    fewest bands of at most R rows (sizes within one row), each as one logits matmul
+    against every key, one softmax and one weighted sum on a prefix of the buffer;
+    R = S leaves the last head's weights. Bands give the unbanded bits where OpenBLAS
+    rounds a band as it rounds the full product.
     """
-    g, r, s = weights.shape
-    h, bands = q.shape[1], -(-s // r)
+    r, s = weights.shape
+    bands = -(-s // r)
     cuts = [i * s // bands for i in range(bands + 1)]
-    for first in range(0, h, g):
-        heads = slice(first, first + g)  # the last group may be shorter
+    for head in range(q.shape[1]):
         for lo, hi in zip(cuts, cuts[1:]):
-            w = _softmax_rows(_logits(q[lo:hi, heads], k[:, heads], weights[:h - first, :hi - lo]))
-            np.matmul(w, v[:, heads].transpose(1, 0, 2), out=out[lo:hi, heads].transpose(1, 0, 2))
+            w = _softmax_rows(_logits(q[lo:hi, head], k[:, head], weights[:hi - lo]))
+            np.matmul(w, v[:, head], out=out[lo:hi, head])
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def attention_weights(qkv: JointQKV) -> np.ndarray:
     """Per-head attention weight tensor (H, S, S); every row sums to 1."""
-    s, h, dh = qkv.q.shape
+    s, h, _ = qkv.q.shape
     weights = np.empty((h, s, s))
-    _attend(qkv.q, qkv.k, qkv.v, weights, np.empty((s, h, dh)))
+    for head in range(h):  # _attend's logits and softmax, without its weighted sum
+        _softmax_rows(_logits(qkv.q[:, head], qkv.k[:, head], weights[head]))
     # entries are in [0, 1] or NaN: a row sum is finite exactly when its row is
     check_finite(weights.sum(axis=2), "attention weights")
     return weights
@@ -286,11 +279,11 @@ def joint_attention(qkv: JointQKV) -> np.ndarray:
     """Scaled dot-product attention over the joint sequence, as a read-only (S, D) array.
 
     Heads are re-merged into one output row per token, text rows first,
-    image rows at img_range. The heads share one _group_buffer;
+    image rows at img_range. The heads share one _band_shape buffer;
     attention_weights returns the (H, S, S) tensor.
     """
     s, h, dh = qkv.q.shape
     out = np.empty((s, h * dh))
-    _attend(qkv.q, qkv.k, qkv.v, _group_buffer(s, h), out.reshape(s, h, dh))
+    _attend(qkv.q, qkv.k, qkv.v, np.empty(_band_shape(s)), out.reshape(s, h, dh))
     out.flags.writeable = False
     return check_finite(out, "attention output")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import _group_shape, _logits, attention_weights, joint_attention, project_qkv
+from .attention import _band_shape, _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, marching_squares
 from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, apply_dcag, load_config
@@ -168,7 +168,7 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
 def _check_memory(args) -> None:
     """Refuse a run whose float64 buffers, stack and grid exceed physical memory.
 
-    profile and sweep hold one _group_shape weights buffer; attend's checks hold two
+    profile and sweep hold one _band_shape weights buffer; attend's checks hold two
     (S, S) logit buffers, then its artifacts H weights. Each holds 8·S·D in the
     batch, state, (S, 3D) projection, attention output, RoPE tables and RoPE's two
     temporaries, and profile and sweep one more S·D: the ratio's deviations or the
@@ -183,7 +183,7 @@ def _check_memory(args) -> None:
     n_dk, n_dv = (getattr(args, flag, (0, 0, 0))[2] for flag in ("dk", "dv"))
     grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
     attend = args.command == "attend"
-    held = max(args.heads, 2) * s * s if attend else math.prod(_group_shape(s, args.heads))
+    held = max(args.heads, 2) * s * s if attend else math.prod(_band_shape(s))
     guide = 0 if args.command == "profile" else 6 * args.img_tokens * args.dim
     need = (held + (8 if attend else 9) * s * args.dim + guide
             + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
@@ -284,12 +284,11 @@ def _check_logit_scaling(qkv, guided, delta_k: float) -> bool:
     """
     i_s, i_e = qkv.img_range
     s, h, _ = qkv.q.shape
-    pre_buf, post_buf = np.empty((1, s, s)), np.empty((1, s, s))
+    pre_buf, post_buf = np.empty((s, s)), np.empty((s, s))
     spreads, drifts = [], []
     for head in range(h):
-        one = slice(head, head + 1)
-        pre = _logits(qkv.q[:, one], qkv.k[:, one], pre_buf)[0, :, i_s:i_e]
-        post = _logits(guided.q[:, one], guided.k[:, one], post_buf)[0, :, i_s:i_e]
+        pre = _logits(qkv.q[:, head], qkv.k[:, head], pre_buf)[:, i_s:i_e]
+        post = _logits(guided.q[:, head], guided.k[:, head], post_buf)[:, i_s:i_e]
         spreads.append(np.max(pre.max(axis=1) - pre.min(axis=1)))
         pre *= delta_k  # in place: post - delta_k * pre needs no third buffer
         post -= pre

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (LayerWeights, StreamBatch, _attend, _frozen, _group_buffer, _project,
+from .attention import (LayerWeights, StreamBatch, _attend, _band_shape, _frozen, _project,
                         _rope_table)
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _guide
@@ -137,7 +137,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     once the tap returns, so a tap copies what it keeps.
     Arguments are validated once on entry and the result once on return;
     in between, the attention and guidance kernels run on reused buffers,
-    attention on one _group_buffer shared by every layer.
+    attention on one _band_shape buffer shared by every layer and head.
     """
     if batch.dim != stack.dim:
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
@@ -151,7 +151,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
     seen = proj.reshape(s, 3, heads, -1).transpose(1, 0, 2, 3)  # what the tap reads
     seen.flags.writeable = False
     attn = np.empty((s, stack.dim))
-    weights = _group_buffer(s, heads)
+    weights = np.empty(_band_shape(s))
     for t, embedding in enumerate(stack.embeddings):
         img += embedding
         for layer, w in enumerate(stack.layers):

@@ -73,10 +73,10 @@ def _check_ratios(ratios, name: str) -> np.ndarray:
 
 def pearson(a, b) -> float:
     """Pearson correlation between two equal-shaped matrices, over all entries."""
-    a = as_tensor(a, "first profile").ravel()
-    b = as_tensor(b, "second profile").ravel()
+    a, b = as_tensor(a, "first profile"), as_tensor(b, "second profile")
     if a.shape != b.shape:
-        raise ShapeError(f"profiles disagree in size: {a.shape} vs {b.shape}")
+        raise ShapeError(f"profiles disagree in shape: {a.shape} vs {b.shape}")
+    a, b = a.ravel(), b.ravel()
     da = a - a.mean()
     db = b - b.mean()
     sa = np.sqrt(np.sum(da * da))

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from dcag import (
+    GuidanceConfig,
     JointQKV,
     LayerWeights,
     ShapeError,
     StreamBatch,
+    apply_dcag,
     attention_weights,
     joint_attention,
     project_qkv,
     rope,
 )
 from dcag import attention
-from dcag.attention import (DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _group_buffer, _group_shape,
-                            _project, _rope_table)
-from dcag.tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
+from dcag.attention import DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _band_shape, _project, _rope_table
+from dcag.tensors import _softmax_rows
 from conftest import bits, child_env
 from oracles import naive_attention, naive_rope
 
@@ -51,6 +52,17 @@ class TestTypes:
         batch = StreamBatch(txt=rng.standard_normal((2, 4)), img=rng.standard_normal((3, 4)))
         with pytest.raises(ValueError):
             batch.txt[0, 0] = 1.0
+
+    def test_fields_cannot_be_reassigned(self, rng):
+        # reassignment would bypass __post_init__'s checks and copy
+        batch = StreamBatch(txt=rng.standard_normal((2, 4)), img=rng.standard_normal((3, 4)))
+        qkv = make_qkv(rng, 2, 3, 2, 2)
+        guided = apply_dcag(qkv, GuidanceConfig(delta_k=1.5, delta_v=0.5))  # built by _adopt
+        for value, name in ((batch, "txt"), (batch, "img"), (qkv, "q"), (qkv, "img_range"),
+                            (guided, "k"), (guided, "v"), (guided, "img_range")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, np.zeros((3, 5)))
+        assert batch.img.shape == (3, 4) and guided.img_range == (2, 5)
 
     def test_freezing_copies_the_input(self, rng):
         source = rng.standard_normal((2, 4))
@@ -314,10 +326,10 @@ class TestJointAttention:
 
 
 # Runs in a fresh interpreter so OPENBLAS_NUM_THREADS takes effect. q, k, v
-# are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. Groups
-# of G heads, including a ragged last group (G = 3), must give the bits of one
-# batched (H, S, S) formula; with G = H the buffer is the (H, S, S) weights.
-# From 725 tokens up _group_buffer gives (1, R, S) query-row bands: they must
+# are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. One
+# head at a time on one (S, S) buffer must give the bits of one batched
+# (H, S, S) formula, and attention_weights the bits of its (H, S, S) weights.
+# From 725 tokens up _band_shape gives (R, S) query-row bands: they must
 # give the unbanded formula's bits at S = 1,032 and 2,056, where OpenBLAS rounds
 # a band as it rounds the full product, and at S = 725, where it does not, agree
 # with it to rtol 1e-12 (atol 1e-12 of its largest entry) and with themselves
@@ -325,7 +337,7 @@ class TestJointAttention:
 PER_HEAD_VS_BATCHED = """
 import hashlib
 import numpy as np
-from dcag.attention import _attend, _group_buffer
+from dcag.attention import JointQKV, _attend, _band_shape, attention_weights
 from dcag.tensors import _softmax_rows
 
 rng = np.random.default_rng(11)
@@ -340,13 +352,11 @@ for s in (152, 408, 579, 1032):
         expected = (_softmax_rows(batched) @ vh).transpose(1, 0, 2)
         expected_weights = hashlib.sha256(batched).hexdigest()
         del batched  # keep one (H, S, S) tensor alive at a time
-        for g in (1, 2, 3, h):
-            weights = np.empty((g, s, s))
-            out = _attend(q, k, v, weights, np.empty(q.shape))
-            assert np.array_equal(out, expected), (s, h, g)
-            if g == h:
-                assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
-            del weights
+        out = _attend(q, k, v, np.empty((s, s)), np.empty(q.shape))
+        assert np.array_equal(out, expected), (s, h)
+        weights = attention_weights(JointQKV(q=q, k=k, v=v, img_range=(0, s)))
+        assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
+        del weights
 for s in (725, 1032, 2056):
     for h in (4, 16):
         block = rng.standard_normal((s, 3 * 64))
@@ -356,8 +366,8 @@ for s in (725, 1032, 2056):
             w = q[:, i] @ k[:, i].T
             w *= 1.0 / np.sqrt(q.shape[2])
             unbanded[:, i] = _softmax_rows(w) @ v[:, i]
-        weights = _group_buffer(s, h)
-        assert weights.shape[0] == 1 and weights.shape[1] < s, (s, h, weights.shape)
+        weights = np.empty(_band_shape(s))
+        assert weights.shape[0] < s, (s, h, weights.shape)
         banded = _attend(q, k, v, weights, np.empty(q.shape))
         if s == 725:
             # entries near 0 cancel, so their relative error is not bounded: atol at the scale
@@ -377,19 +387,16 @@ def test_per_head_kernel_equals_batched_matmul_bitwise(threads):
     assert result.returncode == 0, result.stderr
 
 
-def test_group_buffer_is_one_square_or_near_equal_bands(monkeypatch, rng):
-    # R = S exactly when one (S, S) fits in 4 MiB (S <= 724); above that G = 1
-    # and R rows, R·S·8 <= 4 MiB (one row if a row is larger), in the fewest bands
+def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
+    # R = S exactly when one (S, S) fits in 4 MiB (S <= 724); above that R rows,
+    # R·S·8 <= 4 MiB (one row if a row is larger), in the fewest bands
     for s in (1, 152, 257, 724, 725, 1032, 2056, 4104, 100_003, 600_000):
-        for h in (1, 4, 16):
-            g, r, n = _group_shape(s, h)
-            assert n == s and (r == s) == (s * s * 8 <= _BAND_BYTES)
-            if r == s:
-                assert g == max(1, min(h, _SOFTMAX_BLOCK_BYTES // (s * s * 8)))
-            else:
-                rows = max(1, _BAND_BYTES // (s * 8))
-                assert g == 1 and r <= rows and -(-s // r) == -(-s // rows)
-    assert _group_buffer(1032, 4).shape == (1, 344, 1032)
+        r, n = _band_shape(s)
+        assert n == s and (r == s) == (s * s * 8 <= _BAND_BYTES)
+        if r != s:
+            rows = max(1, _BAND_BYTES // (s * 8))
+            assert r <= rows and -(-s // r) == -(-s // rows)
+    assert _band_shape(1032) == (344, 1032)
     # the bands _attend runs differ by at most one row and fill the buffer's prefix
     seen = []
 
@@ -400,10 +407,10 @@ def test_group_buffer_is_one_square_or_near_equal_bands(monkeypatch, rng):
     monkeypatch.setattr(attention, "_softmax_rows", record)
     for s, h in ((725, 1), (1032, 2), (2056, 1), (4104, 1)):
         seen.clear()
-        weights = _group_buffer(s, h)
+        weights = np.empty(_band_shape(s))
         q, k, v = rng.standard_normal((3, s, h, 2))
         _attend(q, k, v, weights, np.empty(q.shape))
-        sizes = [rows for _, rows, _ in seen]
-        assert len(seen) == h * -(-s // weights.shape[1])
-        assert sum(sizes) == h * s and max(sizes) == weights.shape[1]
+        sizes = [rows for rows, _ in seen]
+        assert len(seen) == h * -(-s // weights.shape[0])
+        assert sum(sizes) == h * s and max(sizes) == weights.shape[0]
         assert max(sizes) - min(sizes) <= 1

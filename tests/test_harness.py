@@ -27,7 +27,7 @@ from dcag import (
     token_grid,
 )
 import dcag.harness
-from dcag.attention import _BAND_BYTES, _group_buffer
+from dcag.attention import _BAND_BYTES, _band_shape
 from dcag.metrics import mse, psnr, ssim
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES
 from conftest import bits
@@ -453,15 +453,15 @@ def test_stack_attention_memory_is_one_band():
     # 344-row bands of 2.8 MB, and a cell holds one band plus O(S·D) blocks: the
     # state, the (S, 3D) projection, the attention output, the RoPE tables and
     # RoPE's two temporaries, seven (S, D) in all; the bound allows 4 MiB and
-    # eight. At 8 + 144 two heads' (S, S) fit in one softmax row block and share
-    # the buffer, within twice that block.
+    # eight. At 8 + 144 one (S, S) fits, and the heads share it, within twice
+    # one softmax row block.
     heads, dim = 4, 64
-    for s_t, s_i, shape, bound in ((8, 1024, (1, 344, 1032), _BAND_BYTES + 8 * 1032 * dim * 8),
-                                   (8, 144, (2, 152, 152), 2 * _SOFTMAX_BLOCK_BYTES)):
+    for s_t, s_i, shape, bound in ((8, 1024, (344, 1032), _BAND_BYTES + 8 * 1032 * dim * 8),
+                                   (8, 144, (152, 152), 2 * _SOFTMAX_BLOCK_BYTES)):
         stack = ToyStack.seeded(0, layers=1, steps=1, dim=dim, heads=heads)
         batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=dim)
         qkv = project_qkv(batch, stack.layers[0])
-        assert _group_buffer(s_t + s_i, heads).shape == shape
+        assert _band_shape(s_t + s_i) == shape
         for attend in (lambda: run_stack(stack, batch), lambda: joint_attention(qkv),
                        lambda: guided_attention(batch, stack.layers[0], GuidanceConfig())):
             tracemalloc.start()

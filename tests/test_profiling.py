@@ -97,6 +97,11 @@ class TestPearson:
         assert pearson(a, b) == pearson(b, a)
         assert abs(pearson(a, b)) <= 1.0 + 1e-12
 
+    def test_shapes_must_match_before_flattening(self):
+        # equal sizes are not enough: a (2, 3) and a (3, 2) map pair different cells
+        with pytest.raises(ShapeError, match=r"disagree in shape: \(2, 3\) vs \(3, 2\)"):
+            pearson(np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2))
+
     def test_constant_input_is_degenerate(self, rng):
         a = rng.standard_normal((3, 3))
         with pytest.raises(DegenerateInputError, match="zero-variance"):
