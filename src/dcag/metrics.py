@@ -26,6 +26,8 @@ def _check_pair(a, b):
         raise ShapeError(f"images must be 2D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ShapeError(f"image shapes disagree: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ShapeError(f"images must have pixels, got shape {a.shape}")
     for name, img in (("first image", a), ("second image", b)):
         if img.min() < 0.0 or img.max() > 1.0:
             raise ValueError(f"{name} has pixels outside [0, 1]")

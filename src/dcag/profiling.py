@@ -76,6 +76,8 @@ def pearson(a, b) -> float:
     a, b = as_tensor(a, "first profile"), as_tensor(b, "second profile")
     if a.shape != b.shape:
         raise ShapeError(f"profiles disagree in shape: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise DegenerateInputError("pearson undefined for empty input")
     a, b = a.ravel(), b.ravel()
     da = a - a.mean()
     db = b - b.mean()

@@ -117,6 +117,49 @@ def key_only_forward(batch, weights, delta_k):
     return merged[:s_t], merged[s_t:]
 
 
+def closed_form_attention(q, k, v, img_start, delta_k, delta_v):
+    """Guided attention from the unguided post-RoPE q, k, v, by the paper's closed forms.
+
+    It never forms a guided K or V. Per head, with L the scaled logit, b_k and b_v
+    the image-row means of k and v, and c = q·b_k/√d_h per query row:
+    - a text key keeps L, an image key gets L + (delta_k - 1)·(L - c);
+    - with alpha the softmax of those logits, the output row is
+      Σ_j alpha_j·v_j + (delta_v - 1)·Σ_{image j} alpha_j·(v_j - b_v).
+    Each guided term is added to the unguided value, so a scale of exactly 1 adds
+    exactly zero. Returns (merged (S, H*d_h), weights (H, S, S)).
+    """
+    s, h, dh = q.shape
+    scale = 1.0 / math.sqrt(dh)
+    weights = np.zeros((h, s, s))
+    merged = np.zeros((s, h * dh))
+    for head in range(h):
+        b_k = np.zeros(dh)
+        b_v = np.zeros(dh)
+        for j in range(img_start, s):
+            b_k += k[j, head]
+            b_v += v[j, head]
+        b_k /= s - img_start
+        b_v /= s - img_start
+        for i in range(s):
+            c = scale * float(np.dot(q[i, head], b_k))
+            logits = []
+            for j in range(s):
+                logit = scale * float(np.dot(q[i, head], k[j, head]))
+                if j >= img_start:
+                    logit += (delta_k - 1.0) * (logit - c)
+                logits.append(logit)
+            alpha = naive_softmax_row(logits)
+            weights[head, i, :] = alpha
+            acc = np.zeros(dh)
+            shift = np.zeros(dh)
+            for j in range(s):
+                acc += alpha[j] * v[j, head]
+                if j >= img_start:
+                    shift += alpha[j] * (v[j, head] - b_v)
+            merged[i, head * dh:(head + 1) * dh] = acc + (delta_v - 1.0) * shift
+    return merged, weights
+
+
 def naive_ssim(a, b, window=11, sigma=1.5, c1=0.01 ** 2, c2=0.03 ** 2):
     """Direct per-window SSIM with explicit convolution loops."""
     a = np.asarray(a, dtype=np.float64)

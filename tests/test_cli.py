@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dcag import GuidanceConfig, JointQKV, ToyStack, apply_dcag, project_qkv, seeded_batch
-from dcag.cli import _check_logit_scaling, main
+from dcag import (GuidanceConfig, JointQKV, ToyStack, apply_dcag, joint_attention, project_qkv,
+                  seeded_batch)
+from dcag.cli import _check_closed_forms, main
 from conftest import child_env
 
 FAST_PROFILE = ["--layers", "2", "--steps", "2", "--dim", "16", "--heads", "2",
@@ -266,17 +268,27 @@ class TestAttendCommand:
 
 
     def test_logit_scaling_probe_passes_and_fails(self):
+        # the laws hold on the pass that ran; a guided K row or V entry off by far
+        # more than rounding breaks its own law and leaves the other one holding
         weights = ToyStack.seeded(42, layers=1, steps=1, dim=64, heads=4).layers[0]
+        cfg = GuidanceConfig(delta_k=1.1, delta_v=1.15)
         for img_tokens in (64, 144):
             qkv = project_qkv(seeded_batch(42, txt_tokens=8, img_tokens=img_tokens, dim=64),
                               weights)
-            i_s, i_e = qkv.img_range
-            guided = apply_dcag(qkv, GuidanceConfig(delta_k=1.1, delta_v=1.0))
-            assert _check_logit_scaling(qkv, guided, 1.1)
+            guided = apply_dcag(qkv, cfg)
+            i_s = qkv.img_range[0]
+
+            def laws(k=guided.k, v=guided.v):
+                run = JointQKV(q=guided.q, k=k, v=v, img_range=guided.img_range)
+                return _check_closed_forms(qkv, run, joint_attention(run), cfg)
+
+            assert laws() == {"logit_scaling": True, "value_affinity": True}
             k = np.array(guided.k)
-            k[i_s + 3] += 1e-7  # one guided key row off by far more than rounding
-            perturbed = JointQKV(q=guided.q, k=k, v=guided.v, img_range=(i_s, i_e))
-            assert not _check_logit_scaling(qkv, perturbed, 1.1)
+            k[i_s + 3] += 1e-7
+            assert not laws(k=k)["logit_scaling"]
+            v = np.array(guided.v)
+            v[i_s + 3, 0, 0] += 1e-7
+            assert laws(v=v) == {"logit_scaling": True, "value_affinity": False}
 
     def test_identity_and_value_affinity_probes_fail_on_a_nonlinear_value(
             self, tmp_path, capsys, monkeypatch):
@@ -298,24 +310,49 @@ class TestAttendCommand:
 
     def test_checks_complete_at_576_image_tokens(self, tmp_path, capsys):
         # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
-        config = tmp_path / "guidance.cfg"
-        config.write_text("delta_k = 1.1\ndelta_v = 1.15\n")
+        config = self.write_config(tmp_path, "delta_k = 1.1\ndelta_v = 1.15\n")
         tracemalloc.start()
         try:
-            code = main(["attend", "--check", "--img-tokens", "576", "--config", str(config),
+            code = main(["attend", "--check", "--img-tokens", "576", "--config", config,
                          "--out", str(tmp_path / "out")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert "check logit_scaling: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for name in ("identity", "logit_scaling", "value_affinity"):
+            assert f"check {name}: PASS" in out
         # the run stays within what _check_memory budgets, max(H, 2) (S, S) float64
-        # buffers (the probes' two logit buffers, then the (H, S, S) weights),
-        # plus sixteen (S, D) float64 blocks for the streams, Q/K/V before and
-        # after guidance, the output and the probes' copies; the artifacts are
-        # streamed to disk, so formatting holds no whole CSV in memory
+        # buffers plus sixteen (S, D) float64 blocks; the artifacts are streamed to
+        # disk, so formatting holds no whole CSV in memory
         s, h, d = 8 + 576, 4, 64
         assert peak < max(h, 2) * s * s * 8 + 16 * s * d * 8
+
+    @pytest.mark.parametrize("scale, failed", [
+        ("delta_k = 0", ()), ("delta_k = 1e307", ()), ("delta_v = 0", ()),
+        ("delta_v = 1e300", ()), ("delta_k = 1.1e307", ("logit_scaling",))])
+    def test_checks_at_extreme_scales(self, tmp_path, capsys, scale, failed):
+        # the laws are evaluated so that they overflow only where the guided pass does;
+        # at delta_k = 1.1e307 some guided logits overflow to -inf while the output
+        # stays finite, so the K law cannot be held to a tolerance and fails
+        config = self.write_config(tmp_path, scale + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["attend", "--check", "--config", config, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == (1 if failed else 0) and captured.err == ""
+        for name in ("identity", "logit_scaling", "value_affinity"):
+            assert f"check {name}: {'FAIL' if name in failed else 'PASS'}" in captured.out
+
+    def test_overflowing_key_scale_with_checks_is_one_line(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "delta_k = 3e307\n")
+        out = tmp_path / "out"
+        code = main(["attend", "--check", "--config", config, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+        assert captured.out == "" and not out.exists()
 
 
 def fast_argv(command, tmp_path):
@@ -524,7 +561,7 @@ def test_peak_is_within_the_memory_budget(run, tmp_path, capsys, monkeypatch):
 
     A warm-up run first makes the one-time allocations (numpy.random is imported
     lazily), which belong to no run. The budget's one fixed allowance is 64 KiB
-    for a softmax row block's mask.
+    for a softmax row block's mask. An `attend --check` run also passes its checks.
     """
     config = tmp_path / "guidance.cfg"
     config.write_text("delta_k = 1.1\ndelta_v = 1.15\n")
@@ -536,7 +573,10 @@ def test_peak_is_within_the_memory_budget(run, tmp_path, capsys, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    if "--check" in argv:
+        for name in ("identity", "logit_scaling", "value_affinity"):
+            assert f"check {name}: PASS" in out
     # with one byte less memory than the peak, the check must refuse the run
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}.get)
     assert main([*argv, "--out", str(tmp_path / "refused")]) == 2

@@ -24,12 +24,13 @@ from dcag import (
     parse_config,
     project_qkv,
     rescale,
+    rope,
     run_stack,
     seeded_batch,
 )
 from dcag.guidance import _decompose, _guide, _rescale
 from conftest import bits
-from oracles import key_only_forward
+from oracles import closed_form_attention, key_only_forward, naive_attention
 
 
 def make_batch(rng, s_t=4, s_i=12, dim=16):
@@ -380,3 +381,57 @@ class TestAnalyticalInvariants:
             assert np.max(np.abs(out(dv) - (o0 + dv * step))) <= 1e-10 * scale
         # equal spacing: o(2) - o(1) == o(1) - o(0)
         assert np.max(np.abs((out(2.0) - o1) - step)) <= 1e-10 * scale
+
+
+class TestClosedFormOracle:
+    """guided_attention against the paper's two laws, written the slow way in oracles.py."""
+
+    GRID = (0.0, 1.0, 1.1, 2.5, 1e3)
+    # relative; the worst point of GRID reads 1.8e-13, at (0, 1e3): equal image logits
+    # give equal weights, under which the 1e3-scaled V deviations cancel
+    TOLERANCE = 1e-10
+
+    def test_guided_attention_matches_over_a_grid(self, rng):
+        batch = make_batch(rng, s_t=3, s_i=10, dim=16)
+        w = make_weights(rng, dim=16, heads=2)
+        qkv = project_qkv(batch, w)
+        for dk in self.GRID:
+            for dv in self.GRID:
+                ref, _ = closed_form_attention(qkv.q, qkv.k, qkv.v, qkv.img_range[0], dk, dv)
+                mine = guided_attention(batch, w, GuidanceConfig(delta_k=dk, delta_v=dv))
+                scale = max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(mine - ref)) <= self.TOLERANCE * scale
+
+    def test_a_scale_of_one_adds_exactly_zero(self, rng):
+        qkv = make_qkv(rng, 4, 12, 2, 8)
+        q, k, v, i_s = qkv.q, qkv.k, qkv.v, qkv.img_range[0]
+        plain_merged, plain_weights = naive_attention(q, k, v)
+        for dv in self.GRID:  # the K term is zero at delta_k = 1
+            _, weights = closed_form_attention(q, k, v, i_s, 1.0, dv)
+            assert np.array_equal(weights, plain_weights)
+        assert np.array_equal(closed_form_attention(q, k, v, i_s, 1.0, 1.0)[0], plain_merged)
+        for dk in self.GRID:  # the V term is zero at delta_v = 1: out is W'V, in the same order
+            merged, weights = closed_form_attention(q, k, v, i_s, dk, 1.0)
+            for head in range(2):
+                for i in range(q.shape[0]):
+                    acc = np.zeros(8)
+                    for j in range(q.shape[0]):
+                        acc += weights[head, i, j] * v[j, head]
+                    assert np.array_equal(merged[i, head * 8:(head + 1) * 8], acc)
+
+    def test_a_guide_before_rope_fails_it(self, rng):
+        batch = make_batch(rng, s_t=3, s_i=10, dim=16)
+        w = make_weights(rng, dim=16, heads=2)
+        qkv = project_qkv(batch, w)
+        i_s, s = qkv.img_range
+        positions = np.arange(s)
+        proj = np.concatenate([batch.txt @ w.txt_wqkv, batch.img @ w.img_wqkv]).reshape(s, 3, 2, 8)
+        k = proj[:, 1].copy()
+        k[i_s:] = rescale(decompose(k[i_s:]), 1.5)  # the mean of unrotated keys
+        early = JointQKV(q=rope(proj[:, 0], positions), k=rope(k, positions), v=proj[:, 2],
+                         img_range=(i_s, s))
+        ref, _ = closed_form_attention(qkv.q, qkv.k, qkv.v, i_s, 1.5, 1.0)
+        scale = max(1.0, np.max(np.abs(ref)))
+        on_time = joint_attention(apply_dcag(qkv, GuidanceConfig(delta_k=1.5, delta_v=1.0)))
+        assert np.max(np.abs(on_time - ref)) <= self.TOLERANCE * scale
+        assert np.max(np.abs(joint_attention(early) - ref)) > 1e-3 * scale  # reads 0.12

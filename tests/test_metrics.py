@@ -32,6 +32,14 @@ class TestMse:
             mse(np.full((4, 4), 1.5), np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("metric", [mse, psnr, ssim])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 16), (16, 0)])
+def test_empty_image_is_a_shape_error(metric, shape):
+    # refused before the pixel range check reduces over no pixels
+    with pytest.raises(ShapeError, match="must have pixels"):
+        metric(np.zeros(shape), np.zeros(shape))
+
+
 class TestPsnr:
     def test_identical_images_hit_the_cap(self, rng):
         a = random_image(rng)

@@ -107,6 +107,11 @@ class TestPearson:
         with pytest.raises(DegenerateInputError, match="zero-variance"):
             pearson(a, np.full((3, 3), 2.5))
 
+    def test_empty_input_is_degenerate(self):
+        # refused before the mean of nothing warns and the variance reads as zero
+        with pytest.raises(DegenerateInputError, match="empty input"):
+            pearson(np.zeros((0, 3)), np.zeros((0, 3)))
+
 
 class TestProfileStack:
     def test_shape_contract(self, rng):
