@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import _softmax_rows, as_index, as_tensor, check_finite
+from .tensors import _softmax_rows, as_index, as_real, as_tensor, check_finite
 
 __all__ = [
     "StreamBatch",
@@ -37,7 +37,7 @@ DEFAULT_ROPE_BASE = 10000.0
 
 def _frozen(x, name: str) -> np.ndarray:
     # checked before it is copied, so the check's temporary and the copy never coexist
-    arr = np.array(check_finite(np.asarray(x, dtype=np.float64), name), order="C")
+    arr = np.array(as_real(x, name), order="C")
     arr.flags.writeable = False
     return arr
 
@@ -179,7 +179,7 @@ def rope(x, positions) -> np.ndarray:
     s, h, dh = x.shape
     if dh % 2 != 0:
         raise ValueError(f"rope needs an even head dimension, got d_h={dh}")
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = as_real(positions, "positions")
     if pos.shape != (s,):
         raise ShapeError(f"need one position per token: {pos.shape} positions for {s} tokens")
     out = x.copy()

@@ -1,8 +1,10 @@
 """Command-line surface: ratio profiling, 2D sweeps, single guided passes.
 
 Every command is a pure function of its flags: the same invocation writes
-byte-identical artifacts and returns the same exit code. A manifest.json
-recording the resolved parameters and artifact names accompanies every run.
+byte-identical artifacts and returns the same exit code. A command only
+computes, from its flags and the seeded stack and batch main builds for it;
+main checks memory first, writes the artifacts and a manifest.json of the
+resolved parameters and artifact names, prints and picks the exit code.
 Exit codes: 0 on success (and all checks passing), 1 for failed --check
 invariants, 2 for usage, configuration, validation or I/O errors.
 """
@@ -148,7 +150,7 @@ def _write_artifacts(outdir: Path, artifacts: dict) -> None:
                 handle.write(content)
 
 
-def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> None:
+def _manifest(args, artifacts, summary, resolved) -> str:
     """The manifest records every flag except --out; `resolved` overrides a flag's raw value."""
     parameters = {key: value for key, value in vars(args).items()
                   if key not in ("command", "func", "out")}
@@ -160,9 +162,7 @@ def _write_manifest(outdir: Path, args, artifacts, summary=None, **resolved) -> 
     }
     if summary is not None:
         manifest["summary"] = summary
-    with open(outdir / "manifest.json", "w", encoding="utf-8", newline="") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _check_memory(args) -> None:
@@ -195,12 +195,7 @@ def _check_memory(args) -> None:
                           f"{physical / 2**30:.1f} GiB of physical memory")
 
 
-def _cmd_profile(args) -> int:
-    _check_memory(args)
-    stack = ToyStack.seeded(args.seed, layers=args.layers, steps=args.steps,
-                            dim=args.dim, heads=args.heads)
-    batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
-                         img_tokens=args.img_tokens, dim=args.dim)
+def _cmd_profile(args, stack, batch):
     ratios_k, ratios_v = profile_stack(stack, batch)
     artifacts = {"ratios.csv": ratios_csv(ratios_k, ratios_v)}
     if args.heatmap:
@@ -210,18 +205,12 @@ def _cmd_profile(args) -> int:
         correlation = pearson(ratios_k, ratios_v)
     except DegenerateInputError:
         correlation = None
-    summary = {
-        "mean_ratio_k": float(ratios_k.mean()),
-        "mean_ratio_v": float(ratios_v.mean()),
-        "pearson_r": correlation,
-    }
-    outdir = Path(args.out)
-    _write_artifacts(outdir, artifacts)
-    _write_manifest(outdir, args, artifacts, summary)
-    print(f"mean K-ratio: {_fmt(summary['mean_ratio_k'])}")
-    print(f"mean V-ratio: {_fmt(summary['mean_ratio_v'])}")
-    print("pearson r:    " + ("undefined" if correlation is None else _fmt(correlation)))
-    return 0
+    summary = {"mean_ratio_k": float(ratios_k.mean()), "mean_ratio_v": float(ratios_v.mean()),
+               "pearson_r": correlation}
+    return artifacts, summary, {}, [
+        f"mean K-ratio: {_fmt(summary['mean_ratio_k'])}",
+        f"mean V-ratio: {_fmt(summary['mean_ratio_v'])}",
+        "pearson r:    " + ("undefined" if correlation is None else _fmt(correlation))]
 
 
 def _contour_files(contours) -> dict:
@@ -247,12 +236,7 @@ def _grid_values(flag: str, value_range) -> np.ndarray:
     return values
 
 
-def _cmd_sweep(args) -> int:
-    _check_memory(args)
-    stack = ToyStack.seeded(args.seed, layers=args.layers, steps=args.steps,
-                            dim=args.dim, heads=args.heads)
-    batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
-                         img_tokens=args.img_tokens, dim=args.dim)
+def _cmd_sweep(args, stack, batch):
     contours = _contour_files(args.contour)
     dk_values = _grid_values("--dk", args.dk)
     dv_values = _grid_values("--dv", args.dv)
@@ -261,17 +245,14 @@ def _cmd_sweep(args) -> int:
     for name, (metric, level) in contours.items():
         polylines = marching_squares(dk_values, dv_values, surfaces[metric], level)
         artifacts[name] = contour_text(polylines)
-    outdir = Path(args.out)
-    _write_artifacts(outdir, artifacts)
     points = dk_values.size * dv_values.size
-    _write_manifest(outdir, args, artifacts, summary={"grid_points": points})
-    print(f"{points} grid points written to sweep.csv")
-    return 0
+    return artifacts, {"grid_points": points}, {}, [f"{points} grid points written to sweep.csv"]
 
 
 def _check_identity(qkv) -> bool:
-    guided = joint_attention(apply_dcag(qkv, GuidanceConfig.identity()))
-    return np.array_equal(joint_attention(qkv), guided)
+    """Whether guidance at (1, 1) leaves K and V bit for bit; Q is passed through."""
+    guided = apply_dcag(qkv, GuidanceConfig.identity())
+    return guided.k.tobytes() == qkv.k.tobytes() and guided.v.tobytes() == qkv.v.tobytes()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads as a failed law
@@ -308,14 +289,9 @@ def _check_closed_forms(qkv, guided, out, cfg) -> dict:
     return dict(zip(("logit_scaling", "value_affinity"), holds.tolist()))
 
 
-def _cmd_attend(args) -> int:
-    _check_memory(args)
+def _cmd_attend(args, stack, batch):
     cfg = load_config(args.config)
-    weights = ToyStack.seeded(args.seed, layers=1, steps=1,
-                              dim=args.dim, heads=args.heads).layers[0]
-    batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
-                         img_tokens=args.img_tokens, dim=args.dim)
-    qkv = project_qkv(batch, weights)
+    qkv = project_qkv(batch, stack.layers[0])
     guided = apply_dcag(qkv, cfg)
     out = joint_attention(guided)
     i_s, i_e = qkv.img_range
@@ -324,7 +300,7 @@ def _cmd_attend(args) -> int:
     def flat(block):
         return block.reshape(block.shape[0], h * dh)
 
-    checks = None
+    checks = {}
     if args.check:  # before the (H, S, S) weights exist, so the two never coexist
         checks = {"identity": _check_identity(qkv), **_check_closed_forms(qkv, guided, out, cfg)}
     artifacts = {
@@ -335,31 +311,38 @@ def _cmd_attend(args) -> int:
         "attention.csv": attention_weights(guided).reshape(h * s, s),
         "output.csv": out,
     }
-    outdir = Path(args.out)
-    _write_artifacts(outdir, artifacts)
-    summary = {"checks": checks} if checks is not None else None
     # lambda_k and lambda_v record the bias scale the pass used, which is always 1;
     # guided_layers records that no layer is left out, which is always []
-    _write_manifest(outdir, args, artifacts, summary,
-                    config={**asdict(cfg), "lambda_k": 1.0, "lambda_v": 1.0,
-                            "token_range": qkv.img_range, "guided_layers": []})
-    print(f"guided pass complete: {len(artifacts)} artifacts in {outdir}")
-    if checks is not None:
-        for name, passed in checks.items():
-            print(f"check {name}: {'PASS' if passed else 'FAIL'}")
-        if not all(checks.values()):
-            return 1
-    return 0
+    resolved = {"config": {**asdict(cfg), "lambda_k": 1.0, "lambda_v": 1.0,
+                           "token_range": qkv.img_range, "guided_layers": []}}
+    lines = [f"guided pass complete: {len(artifacts)} artifacts in {Path(args.out)}",
+             *(f"check {name}: {'PASS' if passed else 'FAIL'}" for name, passed in checks.items())]
+    return artifacts, {"checks": checks} if args.check else None, resolved, lines
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, check memory, seed the stack and batch, compute, write (manifest last), print.
+
+    A command maps (args, stack, batch) to its artifacts, summary, resolved manifest
+    parameters and printed lines. A ValueError or OSError at any step prints one
+    `error:` line and nothing on stdout and returns 2; else main returns 1 when the
+    summary holds a failed check, and 0 otherwise.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_memory(args)
+        stack = ToyStack.seeded(args.seed, layers=getattr(args, "layers", 1),
+                                steps=getattr(args, "steps", 1), dim=args.dim, heads=args.heads)
+        batch = seeded_batch(args.seed, txt_tokens=args.txt_tokens,
+                             img_tokens=args.img_tokens, dim=args.dim)
+        artifacts, summary, resolved, lines = args.func(args, stack, batch)
+        artifacts["manifest.json"] = _manifest(args, artifacts, summary, resolved)
+        _write_artifacts(Path(args.out), artifacts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return 0 if all((summary or {}).get("checks", {}).values()) else 1
 
 
 if __name__ == "__main__":

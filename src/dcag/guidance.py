@@ -134,8 +134,12 @@ def rescale(bd: BiasDelta, delta_scale) -> np.ndarray:
     that a -0.0 comes back as +0.0 (decompose raises on overflowing deviations).
     """
     delta_scale = _check_scale(delta_scale, "delta_scale")
-    return check_finite(_rescale(bd.bias, bd.delta, bd.delta_residual, delta_scale),
-                        "rescaled block")
+    bias, delta, residual = (as_tensor(getattr(bd, name), name)
+                             for name in ("bias", "delta", "delta_residual"))
+    if bias.shape != (1, *delta.shape[1:]) or residual.shape != delta.shape:
+        raise ShapeError(f"bias {bias.shape}, delta {delta.shape} and delta_residual "
+                         f"{residual.shape} are not one decomposition's shapes")
+    return check_finite(_rescale(bias, delta, residual, delta_scale), "rescaled block")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 from .guidance import _bias_delta
 from .harness import ToyStack, run_stack
-from .tensors import as_tensor, check_finite
+from .tensors import as_real, as_tensor
 
 __all__ = [
     "ratio",
@@ -32,7 +32,7 @@ def ratio(block) -> float:
     norms. bias and delta are those guidance rescales. The block may be a
     strided view, such as a run_stack tap's; it is read, not copied.
     """
-    block = check_finite(np.asarray(block, dtype=np.float64), "block")
+    block = as_real(block, "block")
     if block.ndim != 3:
         raise ShapeError(f"ratio expects an (S_i, H, d_h) block, got shape {block.shape}")
     if block.shape[0] == 0:

@@ -28,9 +28,18 @@ def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def as_real(x, name: str) -> np.ndarray:
+    """x as a finite float64 array, copied only if it is not one; the one coercion of
+    every public array argument. Anything but bools, integers and floats raises ValueError."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":  # numpy would raise a TypeError or drop an imaginary part
+        raise ValueError(f"{name} must hold real numbers, got {type(x).__name__} of {arr.dtype}")
+    return check_finite(arr.astype(np.float64, copy=False), name)
+
+
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
-    """Coerce to a C-contiguous float64 array, rejecting non-finite values."""
-    return check_finite(np.ascontiguousarray(x, dtype=np.float64), name)
+    """as_real's array, C-contiguous."""
+    return np.ascontiguousarray(as_real(x, name))
 
 
 def as_index(value, name: str) -> int:

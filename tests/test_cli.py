@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -308,18 +310,28 @@ class TestAttendCommand:
         assert "check value_affinity: FAIL" in out
         assert "check logit_scaling: PASS" in out  # K is untouched
 
-    def test_checks_complete_at_576_image_tokens(self, tmp_path, capsys):
-        # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
-        config = self.write_config(tmp_path, "delta_k = 1.1\ndelta_v = 1.15\n")
-        tracemalloc.start()
-        try:
-            code = main(["attend", "--check", "--img-tokens", "576", "--config", config,
-                         "--out", str(tmp_path / "out")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
+    def test_identity_and_logit_scaling_probes_fail_on_a_nonlinear_key(
+            self, tmp_path, capsys, monkeypatch):
+        def perturbed(qkv, cfg):
+            guided = apply_dcag(qkv, cfg)
+            k = np.array(guided.k)
+            k[qkv.img_range[0] + 3, 0, 0] += 1e-7 * cfg.delta_k ** 2
+            return JointQKV(q=guided.q, k=k, v=guided.v, img_range=guided.img_range)
+
+        monkeypatch.setattr("dcag.cli.apply_dcag", perturbed)
+        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
+        code = main(["attend", *FAST_ATTEND, "--config", config, "--check",
+                     "--out", str(tmp_path)])
+        assert code == 1
         out = capsys.readouterr().out
+        assert "check identity: FAIL" in out
+        assert "check logit_scaling: FAIL" in out
+        assert "check value_affinity: PASS" in out  # V is untouched
+
+    def test_checks_complete_at_576_image_tokens(self, attend_576):
+        # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
+        _, code, out, peak = attend_576
+        assert code == 0
         for name in ("identity", "logit_scaling", "value_affinity"):
             assert f"check {name}: PASS" in out
         # the run stays within what _check_memory budgets, max(H, 2) (S, S) float64
@@ -540,10 +552,29 @@ class TestErrors:
         out = blocker if where == "existing file" else blocker / "sub"
         code = main(["profile", *FAST_PROFILE, "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "taken" in err[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, computation", [("profile", "profile_stack"),
+                                                      ("sweep", "sweep"),
+                                                      ("attend", "joint_attention")])
+    def test_error_inside_a_computation_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                                    command, computation):
+        # main alone writes and prints, after the command has computed everything
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(f"dcag.cli.{computation}", boom)
+        out = tmp_path / "out"
+        assert main([*fast_argv(command, tmp_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: boom\n" and captured.out == ""
+        assert not out.exists()
 
 
+ATTEND_576 = "attend --check --img-tokens 576"
 MEMORY_RUNS = [
     "sweep",
     "sweep --img-tokens 576",
@@ -551,29 +582,49 @@ MEMORY_RUNS = [
     "profile --img-tokens 1024",
     "attend --check",
     "profile",
-    "attend --check --img-tokens 576",
+    ATTEND_576,
 ]
 
 
-@pytest.mark.parametrize("run", MEMORY_RUNS)
-def test_peak_is_within_the_memory_budget(run, tmp_path, capsys, monkeypatch):
-    """A run's tracemalloc peak is at most what _check_memory budgets for it.
+def traced_run(run, root):
+    """(argv without --out, exit code, stdout, tracemalloc peak) of `run`, out in root.
 
     A warm-up run first makes the one-time allocations (numpy.random is imported
-    lazily), which belong to no run. The budget's one fixed allowance is 64 KiB
-    for a softmax row block's mask. An `attend --check` run also passes its checks.
+    lazily), which belong to no run. An attend run reads a config file in root.
     """
-    config = tmp_path / "guidance.cfg"
+    config = root / "guidance.cfg"
     config.write_text("delta_k = 1.1\ndelta_v = 1.15\n")
     argv = run.split() + (["--config", str(config)] if run.startswith("attend") else [])
-    assert main(["profile", *FAST_PROFILE, "--out", str(tmp_path / "warm")]) == 0
-    tracemalloc.start()
-    try:
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["profile", *FAST_PROFILE, "--out", str(root / "warm")]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--out", str(root / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return argv, code, stdout.getvalue(), peak
+
+
+@pytest.fixture(scope="session")
+def attend_576(tmp_path_factory):
+    """The one traced run of the slowest invocation two tests hold to their bounds."""
+    return traced_run(ATTEND_576, tmp_path_factory.mktemp("attend-576"))
+
+
+@pytest.mark.parametrize("run", MEMORY_RUNS)
+def test_peak_is_within_the_memory_budget(run, tmp_path, capsys, monkeypatch, request):
+    """A run's tracemalloc peak is at most what _check_memory budgets for it.
+
+    The budget's one fixed allowance is 64 KiB for a softmax row block's mask.
+    An `attend --check` run also passes its checks.
+    """
+    if run == ATTEND_576:
+        argv, code, out, peak = request.getfixturevalue("attend_576")
+    else:
+        argv, code, out, peak = traced_run(run, tmp_path)
+    assert code == 0
     if "--check" in argv:
         for name in ("identity", "logit_scaling", "value_affinity"):
             assert f"check {name}: PASS" in out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcag import ShapeError, matmul, softmax_rows
+import dcag
+from dcag import BiasDelta, ShapeError, decompose, matmul, rescale, softmax_rows
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
 from oracles import naive_matmul
 
@@ -182,3 +184,54 @@ class TestSoftmaxRows:
             softmax_rows(np.zeros((3, 0)))
         with pytest.raises(ValueError, match="empty"):
             softmax_rows(np.zeros((0, 3)))
+
+
+# Every public array argument goes through tensors.as_real: (argument name, call on x).
+OK = np.ones((4, 4))
+ARRAY_ENTRY_POINTS = {
+    "StreamBatch": ("txt", lambda x: dcag.StreamBatch(txt=x, img=OK)),
+    "ToyStack": ("embeddings", lambda x: dcag.ToyStack(layers=(), embeddings=x)),
+    "softmax_rows": ("logits", softmax_rows),
+    "matmul": ("left operand", lambda x: matmul(x, OK)),
+    "rope": ("rope input", lambda x: dcag.rope(x, np.arange(4))),
+    "rope positions": ("positions", lambda x: dcag.rope(np.ones((4, 1, 2)), x)),
+    "decompose": ("block", decompose),
+    "ratio": ("block", dcag.ratio),
+    "pearson": ("first profile", lambda x: dcag.pearson(x, OK)),
+    "mse": ("first image", lambda x: dcag.mse(x, OK)),
+    "render_tokens": ("image block", lambda x: dcag.render_tokens(x, 0.0, 1.0)),
+    "heatmap_pgm": ("ratios", dcag.heatmap_pgm),
+    "marching_squares": ("surface",
+                         lambda x: dcag.marching_squares(np.arange(4), np.arange(4), x, 0.5)),
+    "rescale": ("bias",
+                lambda x: rescale(BiasDelta(x, np.ones((2, 1, 2)), np.zeros((2, 1, 2))), 1.1)),
+}
+NOT_REAL = {"dict": {"a": 1.0}, "complex": np.ones((4, 4), dtype=complex), "string": "1.0",
+            "None": None, "huge int": 10 ** 400}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_non_real_array_argument_is_a_one_line_value_error(entry, bad):
+    # numpy raised TypeError for a dict, dropped a complex array's imaginary part with
+    # a ComplexWarning, and parsed the string; warnings are errors here
+    name, call = ARRAY_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(NOT_REAL[bad])
+    message = str(exc.value)
+    assert message.startswith(f"{name} must hold real numbers") and "\n" not in message
+
+
+class TestRescaleFields:
+    def test_list_fields_are_coerced_to_the_same_bits(self, rng):
+        bd = decompose(rng.standard_normal((5, 2, 4)))
+        as_lists = BiasDelta(bd.bias.tolist(), bd.delta.tolist(), bd.delta_residual.tolist())
+        assert np.array_equal(rescale(as_lists, 1.1), rescale(bd, 1.1))
+
+    @pytest.mark.parametrize("field, shape", [("bias", (5, 2, 4)), ("bias", (1, 2, 3)),
+                                              ("delta_residual", (4, 2, 4))])
+    def test_disagreeing_shapes_are_a_shape_error(self, rng, field, shape):
+        bd = decompose(rng.standard_normal((5, 2, 4)))
+        bad = dataclasses.replace(bd, **{field: np.zeros(shape)})
+        with pytest.raises(ShapeError, match="not one decomposition's shapes"):
+            rescale(bad, 1.1)
