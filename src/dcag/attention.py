@@ -264,13 +264,13 @@ def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def attention_weights(qkv: JointQKV) -> np.ndarray:
-    """Per-head attention weight tensor (H, S, S); every row sums to 1."""
+    """Per-head attention weight tensor (H, S, S); every row sums to 1, as the logits are finite."""
     s, h, _ = qkv.q.shape
     weights = np.empty((h, s, s))
     for head in range(h):  # _attend's logits and softmax, without its weighted sum
-        _softmax_rows(_logits(qkv.q[:, head], qkv.k[:, head], weights[head]))
-    # entries are in [0, 1] or NaN: a row sum is finite exactly when its row is
-    check_finite(weights.sum(axis=2), "attention weights")
+        logits = _logits(qkv.q[:, head], qkv.k[:, head], weights[head])
+        check_finite(np.array([logits.min(), logits.max()]), "attention logits")  # no (S, S) mask
+        _softmax_rows(logits)
     return weights
 
 

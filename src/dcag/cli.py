@@ -172,7 +172,7 @@ def _check_memory(args) -> None:
     (S, S) logit buffers, then its artifacts H weights. Each holds 8·S·D in the
     batch, state, (S, 3D) projection, attention output, RoPE tables and RoPE's two
     temporaries, and profile and sweep one more S·D: the ratio's deviations or the
-    sweep's reference output. sweep and attend guide, on 6·S_i·D of temporaries.
+    sweep's reference output. sweep and attend guide, on 4·S_i·D of temporaries.
     The stack keeps 6·D² weights per layer and D per step (attend builds one of each)
     and draws one more (6, D, D) while building; a sweep adds n_dk + n_dv grid values
     and five floats per grid point. A fixed _SOFTMAX_BLOCK_BYTES // 8 (64 KiB) counts
@@ -184,7 +184,7 @@ def _check_memory(args) -> None:
     grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
     attend = args.command == "attend"
     held = max(args.heads, 2) * s * s if attend else math.prod(_band_shape(s))
-    guide = 0 if args.command == "profile" else 6 * args.img_tokens * args.dim
+    guide = 0 if args.command == "profile" else 4 * args.img_tokens * args.dim
     need = (held + (8 if attend else 9) * s * args.dim + guide
             + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
             + n_dk + n_dv + 5 * n_dk * n_dv) * 8 + _SOFTMAX_BLOCK_BYTES // 8

@@ -102,12 +102,12 @@ def _decompose(block: np.ndarray):
     return bias, delta, _sum_error(block, -bias, delta)
 
 
-def _rescale(bias, delta, residual, delta_scale: float) -> np.ndarray:
-    """bias + delta_scale * (delta + residual), compensated."""
-    b = delta_scale * delta
-    total = bias + b
-    carry = _sum_error(bias, b, total)
-    carry += np.multiply(delta_scale, residual, out=b)  # b is spent: reuse it
+def _rescale(bias, delta, residual, delta_scale: float, out=None) -> np.ndarray:
+    """bias + delta_scale * (delta + residual), compensated, into out (new if None)."""
+    delta *= delta_scale  # delta and residual are spent: both are scaled in place
+    total = np.add(bias, delta, out=out)
+    carry = _sum_error(bias, delta, total)
+    carry += np.multiply(delta_scale, residual, out=residual)
     total += carry
     return total
 
@@ -134,7 +134,7 @@ def rescale(bd: BiasDelta, delta_scale) -> np.ndarray:
     that a -0.0 comes back as +0.0 (decompose raises on overflowing deviations).
     """
     delta_scale = _check_scale(delta_scale, "delta_scale")
-    bias, delta, residual = (as_tensor(getattr(bd, name), name)
+    bias, delta, residual = (np.array(as_tensor(getattr(bd, name), name))  # _rescale spends them
                              for name in ("bias", "delta", "delta_residual"))
     if bias.shape != (1, *delta.shape[1:]) or residual.shape != delta.shape:
         raise ShapeError(f"bias {bias.shape}, delta {delta.shape} and delta_residual "
@@ -170,12 +170,14 @@ class GuidanceConfig:
 def _guide(k: np.ndarray, v: np.ndarray, i_s: int, cfg: GuidanceConfig) -> None:
     """Rescale the image rows k[i_s:] and v[i_s:] of (S, H, d_h) blocks in place.
 
-    A channel at delta = 1 is left alone, which is what _rescale gives bit
-    for bit, except that it turns -0.0 into +0.0 and fails on overflow.
+    _rescale writes into the rows it decomposed, so a guided channel peaks at
+    four (S_i, H, d_h) temporaries. A channel at delta = 1 is left alone and
+    allocates nothing, which is what _rescale gives bit for bit, except that it
+    turns -0.0 into +0.0 and fails on overflow.
     """
     for x, scale in ((k, cfg.delta_k), (v, cfg.delta_v)):
         if scale != 1.0:
-            x[i_s:] = _rescale(*_decompose(x[i_s:]), scale)
+            _rescale(*_decompose(x[i_s:]), scale, out=x[i_s:])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -192,13 +194,9 @@ def apply_dcag(qkv: JointQKV, cfg: GuidanceConfig) -> JointQKV:
     return JointQKV._adopt(qkv.q, k, v, qkv.img_range)  # the copies above are the only ones
 
 
-def guided_attention(batch: StreamBatch, weights: LayerWeights,
-                     cfg: GuidanceConfig | None = None) -> np.ndarray:
-    """One layer forward as an (S, D) array: project, guide (when cfg is given), attend."""
-    qkv = project_qkv(batch, weights)
-    if cfg is not None:
-        qkv = apply_dcag(qkv, cfg)
-    return joint_attention(qkv)
+def guided_attention(batch: StreamBatch, weights: LayerWeights, cfg: GuidanceConfig) -> np.ndarray:
+    """One layer forward as an (S, D) array: project, guide, attend."""
+    return joint_attention(apply_dcag(project_qkv(batch, weights), cfg))
 
 
 # --- plain-text key-value config documents ---------------------------------

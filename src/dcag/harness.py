@@ -125,13 +125,13 @@ def seeded_batch(seed: int, *, txt_tokens: int, img_tokens: int, dim: int) -> St
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = None,
-              *, tap=None) -> np.ndarray:
+def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=None) -> np.ndarray:
     """Iterate the denoising loop and return the final image block (S_i, D).
 
     Each of stack.step_count steps adds the step embedding to the image
-    tokens, then runs every layer (guided when cfg is given) with residual
-    connections. When given, tap(layer, step, q, k, v) observes each layer's
+    tokens, then runs every layer with residual connections, guiding K and V
+    in place (GuidanceConfig.identity() guides, and allocates, nothing).
+    When given, tap(layer, step, q, k, v) observes each layer's
     pre-guidance Q, K and V: read-only (S, H, d_h) views of the projection
     buffer, whose image rows start at batch.txt.shape[0]. The views change
     once the tap returns, so a tap copies what it keeps.
@@ -158,8 +158,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig | None = 
             q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, heads, cos, sin, proj)
             if tap is not None:
                 tap(layer, t, *seen)
-            if cfg is not None:
-                _guide(k, v, s_t, cfg)
+            _guide(k, v, s_t, cfg)
             _attend(q, k, v, weights, attn.reshape(s, heads, -1))
             state += attn
     return check_finite(img, "stack output")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .guidance import _bias_delta
+from .guidance import GuidanceConfig, _bias_delta
 from .harness import ToyStack, run_stack
 from .tensors import as_real, as_tensor
 
@@ -57,7 +57,7 @@ def profile_stack(stack: ToyStack, batch) -> tuple[np.ndarray, np.ndarray]:
         ratios_k[layer, step] = ratio(k[s_t:])
         ratios_v[layer, step] = ratio(v[s_t:])
 
-    run_stack(stack, batch, tap=tap)
+    run_stack(stack, batch, GuidanceConfig.identity(), tap=tap)
     return ratios_k, ratios_v
 
 

@@ -60,7 +60,7 @@ def test_c01_identity_reduction():
         stack = ToyStack.seeded(seed, layers=1, steps=1, dim=DEFAULT_DIM, heads=DEFAULT_HEADS)
         batch = seeded_batch(seed, txt_tokens=DEFAULT_TXT, img_tokens=DEFAULT_IMG, dim=DEFAULT_DIM)
         weights = stack.layers[0]
-        plain = guided_attention(batch, weights, None)
+        plain = joint_attention(project_qkv(batch, weights))
         guided = guided_attention(batch, weights, GuidanceConfig.identity())
         assert np.array_equal(plain, guided)
     elapsed = time.perf_counter() - start

@@ -316,8 +316,8 @@ class TestJointAttention:
             out[0, 0] = 1.0
 
     def test_overflowing_logits_are_rejected(self, rng):
-        # q·k overflows to inf, so a row's max subtraction gives NaN weights;
-        # attention_weights checks its (H, S) row sums, not an (H, S, S) mask
+        # q·k overflows to inf: attention_weights refuses the logits by their min
+        # and max before its softmax, joint_attention the NaN output it gives
         qkv = make_qkv(rng, 2, 6, 2, 4)
         huge = JointQKV(q=qkv.q * 1e200, k=qkv.k * 1e200, v=qkv.v, img_range=qkv.img_range)
         for attend in (attention_weights, joint_attention):

@@ -342,19 +342,36 @@ class TestAttendCommand:
 
     @pytest.mark.parametrize("scale, failed", [
         ("delta_k = 0", ()), ("delta_k = 1e307", ()), ("delta_v = 0", ()),
-        ("delta_v = 1e300", ()), ("delta_k = 1.1e307", ("logit_scaling",))])
+        ("delta_v = 1e300", ()), ("delta_k = 1.1e307", ("attention logits",))])
     def test_checks_at_extreme_scales(self, tmp_path, capsys, scale, failed):
         # the laws are evaluated so that they overflow only where the guided pass does;
         # at delta_k = 1.1e307 some guided logits overflow to -inf while the output
-        # stays finite, so the K law cannot be held to a tolerance and fails
+        # stays finite, and the pass itself is refused on its logits before any check
         config = self.write_config(tmp_path, scale + "\n")
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["attend", "--check", "--config", config, "--out", str(tmp_path / "out")])
+            code = main(["attend", "--check", "--config", config, "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == (1 if failed else 0) and captured.err == ""
+        if failed:
+            assert code == 2 and captured.out == "" and not out.exists()
+            assert captured.err == f"error: {failed[0]} contains non-finite values\n"
+            return
+        assert code == 0 and captured.err == ""
         for name in ("identity", "logit_scaling", "value_affinity"):
-            assert f"check {name}: {'FAIL' if name in failed else 'PASS'}" in captured.out
+            assert f"check {name}: PASS" in captured.out
+
+    def test_overflowing_guided_logits_are_one_line(self, tmp_path, capsys):
+        # test_checks_at_extreme_scales runs this case with --check: at 8 + 64 tokens
+        # the guided logits reach -inf while their max is 4.2e307, and the softmax
+        # still gives finite weights and output
+        config = self.write_config(tmp_path, "delta_k = 1.1e307\n")
+        out = tmp_path / "out"
+        code = main(["attend", "--config", config, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: attention logits contains non-finite values\n"
+        assert captured.out == "" and not out.exists()
 
     def test_overflowing_key_scale_with_checks_is_one_line(self, tmp_path, capsys):
         config = self.write_config(tmp_path, "delta_k = 3e307\n")
@@ -577,7 +594,7 @@ class TestErrors:
 ATTEND_576 = "attend --check --img-tokens 576"
 MEMORY_RUNS = [
     "sweep",
-    "sweep --img-tokens 576",
+    "sweep --img-tokens 576 --dk 1:1.2:2 --dv 1:1.2:2",
     "sweep --img-tokens 1024 --dk 1:1.2:2 --dv 1:1:1",
     "profile --img-tokens 1024",
     "attend --check",

@@ -141,6 +141,15 @@ class TestRescale:
         with pytest.raises(ValueError, match="delta contains non-finite values"):
             rescale(decompose(block), 1.0)
 
+    def test_leaves_its_decomposition_untouched(self, rng):
+        # the kernel spends the delta and residual it is given; rescale gives it copies
+        bd = decompose(rng.standard_normal((12, 2, 4)) * 10.0 ** rng.integers(-4, 5, (12, 2, 4)))
+        fields = [bits(x).copy() for x in (bd.bias, bd.delta, bd.delta_residual)]
+        first = rescale(bd, 1.3)
+        for x, before in zip((bd.bias, bd.delta, bd.delta_residual), fields):
+            assert np.array_equal(bits(x), before)
+        assert np.array_equal(bits(rescale(bd, 1.3)), bits(first))
+
 
 class TestGuidanceConfig:
     def test_identity_classmethod(self):
@@ -315,12 +324,29 @@ class TestGuideKernel:
         assert np.array_equal(bits(k), bits(expected_k))
         assert np.array_equal(bits(v), bits(expected_v))
 
+    @pytest.mark.parametrize("dk, dv", CONFIGS)
+    def test_guided_channel_peaks_at_four_blocks(self, rng, dk, dv):
+        # _rescale writes into the rows it decomposed: a guided channel holds its delta
+        # and residual, then the compensation's two (S_i, H, d_h) temporaries. A channel
+        # at scale 1 allocates nothing.
+        s_t, s_i, heads, dh = 8, 576, 4, 16
+        k, v = rng.standard_normal((2, s_t + s_i, heads, dh))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _guide(k, v, s_t, GuidanceConfig(dk, dv))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        block = s_i * heads * dh * 8
+        assert peak <= (1024 if (dk, dv) == (1.0, 1.0) else 4.25 * block)
+
 
 class TestGuidedAttention:
     def test_identity_equals_unguided_bitwise(self, rng):
         batch = make_batch(rng)
         w = make_weights(rng)
-        plain = guided_attention(batch, w, None)
+        plain = joint_attention(project_qkv(batch, w))
         guided = guided_attention(batch, w, GuidanceConfig.identity())
         assert np.array_equal(plain, guided)
 

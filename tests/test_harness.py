@@ -204,10 +204,19 @@ class TestSeededBatch:
 
 
 class TestRunStack:
-    def test_identity_config_equals_no_guidance_bitwise(self, stack, batch):
-        unguided = run_stack(stack, batch, None)
-        identity = run_stack(stack, batch, GuidanceConfig.identity())
-        assert np.array_equal(unguided, identity)
+    def test_identity_config_equals_no_guidance_bitwise(self, stack):
+        # the identity config against the unguided public stages, layer by layer;
+        # 4 + 1,024 tokens run in query-row bands
+        for img_tokens in (64, 144, 1024):
+            batch = seeded_batch(9, txt_tokens=TXT, img_tokens=img_tokens, dim=DIM)
+            txt, img = np.array(batch.txt), np.array(batch.img)
+            for embedding in stack.embeddings:
+                img = img + embedding
+                for weights in stack.layers:
+                    out = joint_attention(project_qkv(StreamBatch(txt=txt, img=img), weights))
+                    txt, img = txt + out[:TXT], img + out[TXT:]
+            identity = run_stack(stack, batch, GuidanceConfig.identity())
+            assert np.array_equal(bits(identity), bits(img))
 
     def test_fixed_seed_runs_are_bitwise_identical(self, stack, batch):
         cfg = GuidanceConfig(delta_k=1.1, delta_v=1.15)
@@ -215,7 +224,7 @@ class TestRunStack:
 
     def test_empty_stack_accumulates_step_embeddings(self, batch):
         stack = ToyStack(layers=(), embeddings=np.arange(3 * DIM).reshape(3, DIM) / 7.0)
-        out = run_stack(stack, batch, None)
+        out = run_stack(stack, batch, GuidanceConfig.identity())
         expected = np.array(batch.img)
         for t in range(3):
             expected = expected + stack.embeddings[t]
@@ -285,7 +294,8 @@ class TestRunStack:
 
     def test_dim_mismatch(self, stack):
         with pytest.raises(ShapeError, match="hidden dimension"):
-            run_stack(stack, seeded_batch(1, txt_tokens=2, img_tokens=4, dim=8))
+            run_stack(stack, seeded_batch(1, txt_tokens=2, img_tokens=4, dim=8),
+                      GuidanceConfig.identity())
 
 
 class TestRendering:
@@ -462,7 +472,8 @@ def test_stack_attention_memory_is_one_band():
         batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=dim)
         qkv = project_qkv(batch, stack.layers[0])
         assert _band_shape(s_t + s_i) == shape
-        for attend in (lambda: run_stack(stack, batch), lambda: joint_attention(qkv),
+        for attend in (lambda: run_stack(stack, batch, GuidanceConfig.identity()),
+                       lambda: joint_attention(qkv),
                        lambda: guided_attention(batch, stack.layers[0], GuidanceConfig())):
             tracemalloc.start()
             try:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dcag import (
     DegenerateInputError,
+    GuidanceConfig,
     LayerWeights,
     ShapeError,
     StreamBatch,
@@ -154,7 +155,7 @@ class TestProfileStack:
                 per_token = np.linalg.norm(deltas.reshape(deltas.shape[0], -1), axis=1)
                 target[layer, step] = per_token.mean() / np.linalg.norm(mean)
 
-        run_stack(stack, batch, None, tap=recompute)
+        run_stack(stack, batch, GuidanceConfig.identity(), tap=recompute)
         assert np.max(np.abs(pk - expected_k)) <= 1e-12
         assert np.max(np.abs(pv - expected_v)) <= 1e-12
 
