@@ -249,8 +249,9 @@ def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     weights is a C-contiguous (R, S) buffer. Per head the S query rows run in the
     fewest bands of at most R rows (sizes within one row), each as one logits matmul
     against every key, one softmax and one weighted sum on a prefix of the buffer;
-    R = S leaves the last head's weights. Bands give the unbanded bits where OpenBLAS
-    rounds a band as it rounds the full product.
+    R = S leaves the last head's weights. out may be q: a band's weighted sum overwrites
+    only the query rows its logits have read. Bands give the unbanded bits where
+    OpenBLAS rounds a band as it rounds the full product.
     """
     r, s = weights.shape
     bands = -(-s // r)

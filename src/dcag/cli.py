@@ -28,7 +28,7 @@ from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, apply_dcag, load_config
 from .harness import _METRICS, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
-from .tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
+from .tensors import _SOFTMAX_BLOCK_BYTES, _csv_lines, _softmax_rows
 
 
 def _positive_int(text: str) -> int:
@@ -132,20 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return next(_csv_lines([[value]]))
 
 
 def _write_artifacts(outdir: Path, artifacts: dict) -> None:
-    """Write each artifact; a 2D array is streamed row by row as 17-digit CSV."""
+    """Write each artifact; a 2D array is written one 17-digit CSV line at a time."""
     outdir.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         with open(outdir / name, "w", encoding="utf-8", newline="") as handle:
             if isinstance(content, np.ndarray):
-                # a row of Python floats formats faster than np.savetxt's numpy
-                # scalars; converting the whole matrix would hold every float at once
-                fmt = ",".join(["%.17g"] * content.shape[1]) + "\n"
-                for row in content:
-                    handle.write(fmt % tuple(row.tolist()))
+                handle.writelines(line + "\n" for line in _csv_lines(content))
             else:
                 handle.write(content)
 
@@ -169,10 +165,10 @@ def _check_memory(args) -> None:
     """Refuse a run whose float64 buffers, stack and grid exceed physical memory.
 
     profile and sweep hold one _band_shape weights buffer; attend's checks hold two
-    (S, S) logit buffers, then its artifacts H weights. Each holds 8·S·D in the
-    batch, state, (S, 3D) projection, attention output, RoPE tables and RoPE's two
-    temporaries, and profile and sweep one more S·D: the ratio's deviations or the
-    sweep's reference output. sweep and attend guide, on 4·S_i·D of temporaries.
+    (S, S) logit buffers, then its artifacts H weights. Each holds 8·S·D: the batch,
+    state, (S, 3D) projection, RoPE tables, RoPE's two temporaries, and attend's
+    attention output, the ratio's deviations or the sweep's reference output (the
+    stack attends into its Q columns). sweep and attend guide, on 4·S_i·D more.
     The stack keeps 6·D² weights per layer and D per step (attend builds one of each)
     and draws one more (6, D, D) while building; a sweep adds n_dk + n_dv grid values
     and five floats per grid point. A fixed _SOFTMAX_BLOCK_BYTES // 8 (64 KiB) counts
@@ -185,7 +181,7 @@ def _check_memory(args) -> None:
     attend = args.command == "attend"
     held = max(args.heads, 2) * s * s if attend else math.prod(_band_shape(s))
     guide = 0 if args.command == "profile" else 4 * args.img_tokens * args.dim
-    need = (held + (8 if attend else 9) * s * args.dim + guide
+    need = (held + 8 * s * args.dim + guide
             + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
             + n_dk + n_dv + 5 * n_dk * n_dv) * 8 + _SOFTMAX_BLOCK_BYTES // 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

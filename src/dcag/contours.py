@@ -11,7 +11,7 @@ surfaces[metric], level), in (delta_k, delta_v) coordinates.
 from __future__ import annotations
 
 from .errors import ShapeError
-from .tensors import as_tensor
+from .tensors import _csv_lines, as_tensor
 
 __all__ = ["marching_squares", "contour_text"]
 
@@ -123,5 +123,5 @@ def marching_squares(xs, ys, values, level: float):
 
 def contour_text(polylines) -> str:
     """One 'x,y' vertex per line, 17 significant digits, blank line between polylines."""
-    chunks = ["\n".join(f"{x:.17g},{y:.17g}" for x, y in line) for line in polylines]
-    return ("\n\n".join(chunks) + "\n") if chunks else ""
+    return "\n".join("".join(line + "\n" for line in _csv_lines(polyline))
+                     for polyline in polylines)

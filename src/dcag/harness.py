@@ -20,7 +20,7 @@ from .attention import (LayerWeights, StreamBatch, _attend, _band_shape, _frozen
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _guide
 from .metrics import SSIM_WINDOW, mse, psnr, ssim
-from .tensors import as_index, as_tensor, check_finite
+from .tensors import _csv_lines, as_index, as_tensor, check_finite
 
 __all__ = [
     "ToyStack",
@@ -150,7 +150,6 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=N
     proj = np.empty((s, 3 * stack.dim))
     seen = proj.reshape(s, 3, heads, -1).transpose(1, 0, 2, 3)  # what the tap reads
     seen.flags.writeable = False
-    attn = np.empty((s, stack.dim))
     weights = np.empty(_band_shape(s))
     for t, embedding in enumerate(stack.embeddings):
         img += embedding
@@ -159,8 +158,8 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=N
             if tap is not None:
                 tap(layer, t, *seen)
             _guide(k, v, s_t, cfg)
-            _attend(q, k, v, weights, attn.reshape(s, heads, -1))
-            state += attn
+            _attend(q, k, v, weights, q)  # each band's Q rows are dead once its logits exist
+            state += proj[:, :stack.dim]
     return check_finite(img, "stack output")
 
 
@@ -234,9 +233,6 @@ def sweep_csv(dk_values, dv_values, surfaces) -> str:
     for name in _METRICS:
         if (shape := np.shape(surfaces.get(name))) != grid:
             raise ShapeError(f"{name} surface has shape {shape}, grid is {grid}")
-    points = [(dk, dv) for dk in dk_values for dv in dv_values]
-    scores = zip(*(np.ravel(surfaces[name]).tolist() for name in _METRICS))
-    lines = [",".join(["delta_k", "delta_v", *_METRICS])]
-    for point, values in zip(points, scores):
-        lines.append(",".join(f"{value:.17g}" for value in (*point, *values)))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([np.repeat(dk_values, grid[1]), np.tile(dv_values, grid[0]),
+                             *(np.ravel(surfaces[name]) for name in _METRICS)])
+    return "\n".join([",".join(["delta_k", "delta_v", *_METRICS]), *_csv_lines(table)]) + "\n"

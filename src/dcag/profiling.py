@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _bias_delta
 from .harness import ToyStack, run_stack
-from .tensors import as_real, as_tensor
+from .tensors import _csv_lines, as_real, as_tensor
 
 __all__ = [
     "ratio",
@@ -93,14 +93,10 @@ def ratios_csv(ratios_k, ratios_v) -> str:
     ratios_k, ratios_v = _check_ratios(ratios_k, "ratios_k"), _check_ratios(ratios_v, "ratios_v")
     if ratios_k.shape != ratios_v.shape:
         raise ShapeError(f"profiles disagree in shape: {ratios_k.shape} vs {ratios_v.shape}")
-    lines = ["layer,step,ratio_k,ratio_v"]
-    layers, steps = ratios_k.shape
-    for layer in range(layers):
-        for step in range(steps):
-            lines.append(
-                f"{layer},{step},{ratios_k[layer, step]:.17g},{ratios_v[layer, step]:.17g}"
-            )
-    return "\n".join(lines) + "\n"
+    # layer and step pass as floats, which print as the same integers
+    table = np.column_stack([*np.indices(ratios_k.shape).reshape(2, -1),
+                             ratios_k.ravel(), ratios_v.ravel()])
+    return "\n".join(["layer,step,ratio_k,ratio_v", *_csv_lines(table)]) + "\n"
 
 
 def heatmap_pgm(ratios) -> str:

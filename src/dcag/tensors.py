@@ -50,6 +50,15 @@ def as_index(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _csv_lines(rows):
+    """Each row of a 2-D float array as one 17-significant-digit CSV line, without newline; one
+    row at a time becomes Python floats (faster to format than numpy's), never the whole array."""
+    rows = np.asarray(rows, dtype=np.float64)
+    fmt = ",".join(["%.17g"] * rows.shape[-1])
+    for row in rows:
+        yield fmt % tuple(row.tolist())
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def matmul(a, b) -> np.ndarray:
     """Matrix product of a (m, k) and b (k, n)."""

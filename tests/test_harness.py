@@ -27,7 +27,7 @@ from dcag import (
     token_grid,
 )
 import dcag.harness
-from dcag.attention import _BAND_BYTES, _band_shape
+from dcag.attention import _band_shape
 from dcag.metrics import mse, psnr, ssim
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES
 from conftest import bits
@@ -461,12 +461,12 @@ class TestSweep:
 def test_stack_attention_memory_is_one_band():
     # at 8 + 1,024 tokens (S, S) is 8.5 MB, so heads run one at a time in three
     # 344-row bands of 2.8 MB, and a cell holds one band plus O(S·D) blocks: the
-    # state, the (S, 3D) projection, the attention output, the RoPE tables and
-    # RoPE's two temporaries, seven (S, D) in all; the bound allows 4 MiB and
-    # eight. At 8 + 144 one (S, S) fits, and the heads share it, within twice
-    # one softmax row block.
+    # state, the (S, 3D) projection, the RoPE tables and RoPE's two temporaries,
+    # six (S, D) in all, as attention writes over the projection's Q columns; the
+    # bound allows the band and seven. At 8 + 144 one (S, S) fits, and the heads
+    # share it, within twice one softmax row block.
     heads, dim = 4, 64
-    for s_t, s_i, shape, bound in ((8, 1024, (344, 1032), _BAND_BYTES + 8 * 1032 * dim * 8),
+    for s_t, s_i, shape, bound in ((8, 1024, (344, 1032), (344 + 7 * dim) * 1032 * 8),
                                    (8, 144, (152, 152), 2 * _SOFTMAX_BLOCK_BYTES)):
         stack = ToyStack.seeded(0, layers=1, steps=1, dim=dim, heads=heads)
         batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=dim)

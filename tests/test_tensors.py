@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dcag
-from dcag import BiasDelta, ShapeError, decompose, matmul, rescale, softmax_rows
+from dcag import (BiasDelta, ShapeError, contour_text, decompose, matmul, ratios_csv, rescale,
+                  softmax_rows, sweep_csv)
+from dcag.cli import _fmt, _write_artifacts
+from dcag.harness import _METRICS
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
 from oracles import naive_matmul
 
@@ -235,3 +238,41 @@ class TestRescaleFields:
         bad = dataclasses.replace(bd, **{field: np.zeros(shape)})
         with pytest.raises(ShapeError, match="not one decomposition's shapes"):
             rescale(bad, 1.1)
+
+
+# Where %.17g switches to the exponent form (below 1e-4, from 1e17), negative zero,
+# the smallest subnormal, the largest float and an integer-valued float. No pinned
+# digest reaches the exponent form, so each writer is held to it here.
+FORMAT_BOUNDARY = np.array([-0.0, 1e-5, 9.9999999999999995e-05, 1e-4, 1e16,
+                            9.999999999999999e16, 1e17, 5e-324, 1.7976931348623157e308, 1234.0])
+
+
+def _expected_line(*values):
+    return ",".join("%.17g" % value for value in values)
+
+
+def test_every_writer_prints_each_number_as_17_significant_digits(tmp_path):
+    values = FORMAT_BOUNDARY
+    n = values.size
+    i, j = np.indices((n, n))
+    columns = {"mse": values[i], "psnr": values[j], "ssim": values[(i + j) % n]}
+    surfaces = {name: columns[name] for name in _METRICS}
+    assert sweep_csv(values, values, surfaces).splitlines()[1:] == [
+        _expected_line(values[a], values[b], *(columns[name][a, b] for name in _METRICS))
+        for a in range(n) for b in range(n)]
+
+    k, v = values.reshape(2, 5), values[::-1].reshape(2, 5)
+    assert ratios_csv(k, v).splitlines()[1:] == [
+        f"{layer},{step}," + _expected_line(k[layer, step], v[layer, step])
+        for layer in range(2) for step in range(5)]
+
+    polylines = [list(zip(values[:5], values[::-1][:5])), list(zip(values[5:], values[::-1][5:]))]
+    assert contour_text(polylines) == "\n".join(
+        "".join(_expected_line(x, y) + "\n" for x, y in line) for line in polylines)
+
+    arrays = {"wide.csv": values.reshape(2, 5), "tall.csv": values.reshape(5, 2)}
+    _write_artifacts(tmp_path, arrays)
+    for name, array in arrays.items():
+        assert (tmp_path / name).read_text() == "".join(
+            _expected_line(*row) + "\n" for row in array)
+    assert [_fmt(value) for value in values] == ["%.17g" % value for value in values]
