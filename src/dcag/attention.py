@@ -243,21 +243,23 @@ def _band_shape(s: int) -> tuple[int, int]:
     return -(-s // bands), s
 
 
-def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Attention of (S, H, d_h) blocks into out (S, H, d_h), one head and R query rows at a time.
+def _bands(s: int) -> list[tuple[int, int]]:
+    """The (lo, hi) query-row bands that _band_shape(s) describes: sizes within one row."""
+    count = -(-s // _band_shape(s)[0])
+    return [(i * s // count, (i + 1) * s // count) for i in range(count)]
 
-    weights is a C-contiguous (R, S) buffer. Per head the S query rows run in the
-    fewest bands of at most R rows (sizes within one row), each as one logits matmul
-    against every key, one softmax and one weighted sum on a prefix of the buffer;
-    R = S leaves the last head's weights. out may be q: a band's weighted sum overwrites
+
+def _attend(q, k, v, out: np.ndarray) -> np.ndarray:
+    """Attention of (S, H, d_h) blocks into out (S, H, d_h), one head and _bands band at a time.
+
+    A band is one logits matmul against every key, one softmax and one weighted sum, on
+    a prefix of one _band_shape buffer. out may be q: a band's weighted sum overwrites
     only the query rows its logits have read. Bands give the unbanded bits where
     OpenBLAS rounds a band as it rounds the full product.
     """
-    r, s = weights.shape
-    bands = -(-s // r)
-    cuts = [i * s // bands for i in range(bands + 1)]
+    weights = np.empty(_band_shape(s := q.shape[0]))
     for head in range(q.shape[1]):
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi in _bands(s):
             w = _softmax_rows(_logits(q[lo:hi, head], k[:, head], weights[:hi - lo]))
             np.matmul(w, v[:, head], out=out[lo:hi, head])
     return out
@@ -265,11 +267,12 @@ def _attend(q, k, v, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def attention_weights(qkv: JointQKV) -> np.ndarray:
-    """Per-head attention weight tensor (H, S, S); every row sums to 1, as the logits are finite."""
+    """joint_attention's (H, S, S) weights, in _attend's bands; rows sum to 1 (finite logits)."""
     s, h, _ = qkv.q.shape
     weights = np.empty((h, s, s))
-    for head in range(h):  # _attend's logits and softmax, without its weighted sum
-        logits = _logits(qkv.q[:, head], qkv.k[:, head], weights[head])
+    for head, logits in enumerate(weights):
+        for lo, hi in _bands(s):
+            _logits(qkv.q[lo:hi, head], qkv.k[:, head], logits[lo:hi])
         check_finite(np.array([logits.min(), logits.max()]), "attention logits")  # no (S, S) mask
         _softmax_rows(logits)
     return weights
@@ -280,11 +283,10 @@ def joint_attention(qkv: JointQKV) -> np.ndarray:
     """Scaled dot-product attention over the joint sequence, as a read-only (S, D) array.
 
     Heads are re-merged into one output row per token, text rows first,
-    image rows at img_range. The heads share one _band_shape buffer;
-    attention_weights returns the (H, S, S) tensor.
+    image rows at img_range. attention_weights returns the (H, S, S) weights it sums with.
     """
     s, h, dh = qkv.q.shape
     out = np.empty((s, h * dh))
-    _attend(qkv.q, qkv.k, qkv.v, np.empty(_band_shape(s)), out.reshape(s, h, dh))
+    _attend(qkv.q, qkv.k, qkv.v, out.reshape(s, h, dh))
     out.flags.writeable = False
     return check_finite(out, "attention output")

@@ -26,7 +26,7 @@ from .attention import _band_shape, _logits, attention_weights, joint_attention,
 from .contours import contour_text, marching_squares
 from .errors import ConfigError, DegenerateInputError
 from .guidance import GuidanceConfig, apply_dcag, load_config
-from .harness import _METRICS, ToyStack, run_stack, seeded_batch, sweep, sweep_csv
+from .harness import _METRICS, ToyStack, seeded_batch, sweep, sweep_csv
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
 from .tensors import _SOFTMAX_BLOCK_BYTES, _csv_lines, _softmax_rows
 

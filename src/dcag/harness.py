@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (LayerWeights, StreamBatch, _attend, _band_shape, _frozen, _project,
-                        _rope_table)
+from .attention import LayerWeights, StreamBatch, _attend, _frozen, _project, _rope_table
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _guide
 from .metrics import SSIM_WINDOW, mse, psnr, ssim
@@ -136,8 +135,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=N
     buffer, whose image rows start at batch.txt.shape[0]. The views change
     once the tap returns, so a tap copies what it keeps.
     Arguments are validated once on entry and the result once on return;
-    in between, the attention and guidance kernels run on reused buffers,
-    attention on one _band_shape buffer shared by every layer and head.
+    in between, the kernels reuse one projection buffer and attend into its Q columns.
     """
     if batch.dim != stack.dim:
         raise ShapeError(f"batch hidden dimension {batch.dim} does not match stack {stack.dim}")
@@ -150,7 +148,6 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=N
     proj = np.empty((s, 3 * stack.dim))
     seen = proj.reshape(s, 3, heads, -1).transpose(1, 0, 2, 3)  # what the tap reads
     seen.flags.writeable = False
-    weights = np.empty(_band_shape(s))
     for t, embedding in enumerate(stack.embeddings):
         img += embedding
         for layer, w in enumerate(stack.layers):
@@ -158,7 +155,7 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=N
             if tap is not None:
                 tap(layer, t, *seen)
             _guide(k, v, s_t, cfg)
-            _attend(q, k, v, weights, q)  # each band's Q rows are dead once its logits exist
+            _attend(q, k, v, q)  # each band's Q rows are dead once its logits exist
             state += proj[:, :stack.dim]
     return check_finite(img, "stack output")
 

@@ -11,11 +11,13 @@ from dcag import (
     LayerWeights,
     ShapeError,
     StreamBatch,
+    ToyStack,
     apply_dcag,
     attention_weights,
     joint_attention,
     project_qkv,
     rope,
+    seeded_batch,
 )
 from dcag import attention
 from dcag.attention import DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _band_shape, _project, _rope_table
@@ -327,13 +329,13 @@ class TestJointAttention:
 
 # Runs in a fresh interpreter so OPENBLAS_NUM_THREADS takes effect. q, k, v
 # are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. One
-# head at a time on one (S, S) buffer must give the bits of one batched
-# (H, S, S) formula, and attention_weights the bits of its (H, S, S) weights.
-# From 725 tokens up _band_shape gives (R, S) query-row bands: they must
-# give the unbanded formula's bits at S = 1,032 and 2,056, where OpenBLAS rounds
-# a band as it rounds the full product, and at S = 725, where it does not, agree
-# with it to rtol 1e-12 (atol 1e-12 of its largest entry) and with themselves
-# bit for bit.
+# head at a time in _attend's bands must give the bits of one batched
+# (H, S, S) formula, and attention_weights the bits of its (H, S, S) weights,
+# at S = 1,032 in three bands too. From 725 tokens up _band_shape gives (R, S)
+# query-row bands: they must give the unbanded formula's bits at S = 1,032 and
+# 2,056, where OpenBLAS rounds a band as it rounds the full product, and at
+# S = 725, where it does not, agree with it to rtol 1e-12 (atol 1e-12 of its
+# largest entry) and with themselves bit for bit.
 PER_HEAD_VS_BATCHED = """
 import hashlib
 import numpy as np
@@ -352,7 +354,7 @@ for s in (152, 408, 579, 1032):
         expected = (_softmax_rows(batched) @ vh).transpose(1, 0, 2)
         expected_weights = hashlib.sha256(batched).hexdigest()
         del batched  # keep one (H, S, S) tensor alive at a time
-        out = _attend(q, k, v, np.empty((s, s)), np.empty(q.shape))
+        out = _attend(q, k, v, np.empty(q.shape))
         assert np.array_equal(out, expected), (s, h)
         weights = attention_weights(JointQKV(q=q, k=k, v=v, img_range=(0, s)))
         assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
@@ -366,14 +368,13 @@ for s in (725, 1032, 2056):
             w = q[:, i] @ k[:, i].T
             w *= 1.0 / np.sqrt(q.shape[2])
             unbanded[:, i] = _softmax_rows(w) @ v[:, i]
-        weights = np.empty(_band_shape(s))
-        assert weights.shape[0] < s, (s, h, weights.shape)
-        banded = _attend(q, k, v, weights, np.empty(q.shape))
+        assert _band_shape(s)[0] < s, (s, h, _band_shape(s))
+        banded = _attend(q, k, v, np.empty(q.shape))
         if s == 725:
             # entries near 0 cancel, so their relative error is not bounded: atol at the scale
             np.testing.assert_allclose(banded, unbanded, rtol=1e-12,
                                        atol=1e-12 * np.abs(unbanded).max())
-            assert np.array_equal(banded, _attend(q, k, v, weights, np.empty(q.shape)))
+            assert np.array_equal(banded, _attend(q, k, v, np.empty(q.shape)))
         else:
             assert np.array_equal(banded, unbanded), (s, h)
 """
@@ -397,7 +398,7 @@ def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
             rows = max(1, _BAND_BYTES // (s * 8))
             assert r <= rows and -(-s // r) == -(-s // rows)
     assert _band_shape(1032) == (344, 1032)
-    # the bands _attend runs differ by at most one row and fill the buffer's prefix
+    # the bands _attend runs differ by at most one row, the largest _band_shape's R
     seen = []
 
     def record(w):
@@ -407,10 +408,38 @@ def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
     monkeypatch.setattr(attention, "_softmax_rows", record)
     for s, h in ((725, 1), (1032, 2), (2056, 1), (4104, 1)):
         seen.clear()
-        weights = np.empty(_band_shape(s))
+        r = _band_shape(s)[0]
         q, k, v = rng.standard_normal((3, s, h, 2))
-        _attend(q, k, v, weights, np.empty(q.shape))
+        _attend(q, k, v, np.empty(q.shape))
         sizes = [rows for rows, _ in seen]
-        assert len(seen) == h * -(-s // weights.shape[0])
-        assert sum(sizes) == h * s and max(sizes) == weights.shape[0]
+        assert len(seen) == h * -(-s // r)
+        assert sum(sizes) == h * s and max(sizes) == r
         assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("img_tokens", [717, 1091])
+def test_attention_weights_are_the_weights_behind_the_output(monkeypatch, img_tokens):
+    # at 8 + 717 and 8 + 1,091 tokens the query rows run in bands that OpenBLAS
+    # rounds unlike the whole head: attend's attention.csv must hold the weights
+    # each band summed, bit for bit, and each band's weights times V its output rows
+    stack = ToyStack.seeded(42, layers=1, steps=1, dim=64, heads=4)
+    batch = seeded_batch(42, txt_tokens=8, img_tokens=img_tokens, dim=64)
+    guided = apply_dcag(project_qkv(batch, stack.layers[0]), GuidanceConfig())
+    s, h, dh = guided.q.shape
+    bands = []
+
+    def record(w):
+        bands.append(_softmax_rows(w).copy())
+        return w
+
+    monkeypatch.setattr(attention, "_softmax_rows", record)
+    out = joint_attention(guided).reshape(s, h, dh)
+    monkeypatch.undo()
+    weights = attention_weights(guided)
+    head = lo = 0
+    for w in bands:  # each head's bands in order, query rows lo:hi
+        hi = lo + w.shape[0]
+        assert np.array_equal(bits(w), bits(weights[head, lo:hi])), (head, lo)
+        assert np.array_equal(bits(w @ guided.v[:, head]), bits(out[lo:hi, head])), (head, lo)
+        head, lo = (head + 1, 0) if hi == s else (head, hi)
+    assert head == h and len(bands) > h

@@ -31,6 +31,7 @@ from dcag.attention import _band_shape
 from dcag.metrics import mse, psnr, ssim
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES
 from conftest import bits
+from oracles import closed_form_attention
 
 DIM = 16
 HEADS = 2
@@ -460,19 +461,21 @@ class TestSweep:
 
 def test_stack_attention_memory_is_one_band():
     # at 8 + 1,024 tokens (S, S) is 8.5 MB, so heads run one at a time in three
-    # 344-row bands of 2.8 MB, and a cell holds one band plus O(S·D) blocks: the
-    # state, the (S, 3D) projection, the RoPE tables and RoPE's two temporaries,
-    # six (S, D) in all, as attention writes over the projection's Q columns; the
-    # bound allows the band and seven. At 8 + 144 one (S, S) fits, and the heads
-    # share it, within twice one softmax row block.
+    # 344-row bands of 2.8 MB, and a cell holds one band or guidance's four
+    # (S_i, D) temporaries, never both, plus O(S·D) blocks: the state, the (S, 3D)
+    # projection, the RoPE tables and RoPE's two temporaries, six (S, D) in all,
+    # as attention writes over the projection's Q columns; the bound allows the
+    # band and those six. At 8 + 144 one (S, S) fits, and the heads share it,
+    # within twice one softmax row block.
     heads, dim = 4, 64
-    for s_t, s_i, shape, bound in ((8, 1024, (344, 1032), (344 + 7 * dim) * 1032 * 8),
+    for s_t, s_i, shape, bound in ((8, 1024, (344, 1032), (344 + 6 * dim) * 1032 * 8),
                                    (8, 144, (152, 152), 2 * _SOFTMAX_BLOCK_BYTES)):
         stack = ToyStack.seeded(0, layers=1, steps=1, dim=dim, heads=heads)
         batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=dim)
         qkv = project_qkv(batch, stack.layers[0])
         assert _band_shape(s_t + s_i) == shape
         for attend in (lambda: run_stack(stack, batch, GuidanceConfig.identity()),
+                       lambda: run_stack(stack, batch, GuidanceConfig()),
                        lambda: joint_attention(qkv),
                        lambda: guided_attention(batch, stack.layers[0], GuidanceConfig())):
             tracemalloc.start()
@@ -482,3 +485,44 @@ def test_stack_attention_memory_is_one_band():
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+
+def closed_form_drift(monkeypatch, cfg):
+    """Worst error of any run_stack cell's attention output against the paper's closed forms
+    from that cell's pre-guidance q, k, v, relative to max(1, the output's largest entry).
+
+    The real loop runs: its tap copies each cell's q, k, v, and a wrapper on its _attend
+    reads the output. 8 layers x 3 steps at 8 + 16 tokens cover the unsaturated first
+    step and the saturated ones after it, at a cost that keeps tier-1 fast."""
+    stack = ToyStack.seeded(42, layers=8, steps=3, dim=64, heads=4)
+    batch = seeded_batch(42, txt_tokens=8, img_tokens=16, dim=64)
+    attend, cell, drift = dcag.harness._attend, [], []
+
+    def checked(q, k, v, out):
+        attend(q, k, v, out)
+        expected = closed_form_attention(*cell, 8, cfg.delta_k, cfg.delta_v)[0]
+        got = np.array(out).reshape(expected.shape)
+        drift.append(np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(got))))
+        return out
+
+    def tap(layer, step, q, k, v):
+        cell[:] = [np.array(x) for x in (q, k, v)]
+
+    monkeypatch.setattr(dcag.harness, "_attend", checked)
+    run_stack(stack, batch, cfg, tap=tap)
+    assert len(drift) == 8 * 3
+    return max(drift)
+
+
+@pytest.mark.parametrize("dk_dv", [(1.1, 1.15), (1.5, 0.5), (1.0, 2.0), (2.0, 1.0)])
+def test_every_stack_cell_obeys_the_closed_forms(monkeypatch, dk_dv):
+    # the paper's K and V laws hold in every (layer, step) cell of the loop that
+    # computes sweep and profile, to _check_closed_forms's tolerance
+    assert closed_form_drift(monkeypatch, GuidanceConfig(*dk_dv)) <= 1e-10
+
+
+def test_closed_form_drift_catches_guidance_of_the_text_rows(monkeypatch):
+    # a guide that also rescales the text rows' K and V breaks both laws: drift 1.5
+    guide = dcag.harness._guide
+    monkeypatch.setattr(dcag.harness, "_guide", lambda k, v, i_s, cfg: guide(k, v, 0, cfg))
+    assert closed_form_drift(monkeypatch, GuidanceConfig()) > 0.1

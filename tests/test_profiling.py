@@ -20,7 +20,7 @@ from dcag import (
     run_stack,
     seeded_batch,
 )
-from dcag.attention import _BAND_BYTES
+from dcag.attention import _band_shape
 
 
 class TestRatio:
@@ -173,12 +173,12 @@ def profile_peak(layers: int) -> int:
 
 
 def test_profile_memory_is_one_band_buffer_at_any_depth():
-    # one query-row band of weights, at most _BAND_BYTES, plus O(S·D) working memory,
-    # whatever the layer count: no per-layer weight copies or RoPE tables, and a tap
-    # that copies nothing
+    # one query-row band of weights plus the stack cell's six (S, D) blocks (see
+    # test_stack_attention_memory_is_one_band), whatever the layer count: no
+    # per-layer weight copies or RoPE tables, and a tap that copies nothing
     s, d = 8 + 1024, 64
     deep = profile_peak(8)
-    assert deep < _BAND_BYTES + 8 * s * d * 8
+    assert deep < (_band_shape(s)[0] + 6 * d) * s * 8
     # the interpreter's own allocations move the peak by a few KiB from run to
     # run; one layer's (D, 3D) weights alone are 96 KiB, its RoPE table 129 KiB
     assert deep < profile_peak(1) + 16 * 1024
