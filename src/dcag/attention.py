@@ -249,33 +249,34 @@ def _bands(s: int) -> list[tuple[int, int]]:
     return [(i * s // count, (i + 1) * s // count) for i in range(count)]
 
 
-def _attend(q, k, v, out: np.ndarray) -> np.ndarray:
+def _attend(q, k, v, out, weights=None):
     """Attention of (S, H, d_h) blocks into out (S, H, d_h), one head and _bands band at a time.
 
-    A band is one logits matmul against every key, one softmax and one weighted sum, on
-    a prefix of one _band_shape buffer. out may be q: a band's weighted sum overwrites
-    only the query rows its logits have read. Bands give the unbanded bits where
-    OpenBLAS rounds a band as it rounds the full product.
+    A band is one logits matmul against every key, one softmax and one weighted sum, on a
+    prefix of one _band_shape buffer, or on its rows of (H, S, S) weights, if given, with no
+    sum (weights is returned). out may be q: a band's sum overwrites only rows its logits have
+    read. Bands keep the unbanded bits where OpenBLAS rounds a band as the whole product. Once
+    d_h·max|q|·max|k|, a bound on every logit, reaches 1e300, each band's logits are checked.
     """
-    weights = np.empty(_band_shape(s := q.shape[0]))
+    band = np.empty(_band_shape(len(q))) if weights is None else None
+    bound = q.shape[2] * float(max(q.max(), -q.min())) * float(max(k.max(), -k.min()))
     for head in range(q.shape[1]):
-        for lo, hi in _bands(s):
-            w = _softmax_rows(_logits(q[lo:hi, head], k[:, head], weights[:hi - lo]))
-            np.matmul(w, v[:, head], out=out[lo:hi, head])
-    return out
+        for lo, hi in _bands(len(q)):
+            logits = _logits(q[lo:hi, head], k[:, head],
+                             band[:hi - lo] if weights is None else weights[head, lo:hi])
+            if not bound < 1e300:
+                check_finite(np.array([logits.min(), logits.max()]), "attention logits")
+            w = _softmax_rows(logits)
+            if weights is None:
+                np.matmul(w, v[:, head], out=out[lo:hi, head])
+    return out if weights is None else weights
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def attention_weights(qkv: JointQKV) -> np.ndarray:
-    """joint_attention's (H, S, S) weights, in _attend's bands; rows sum to 1 (finite logits)."""
+    """joint_attention's (H, S, S) weights, from _attend's bands; rows sum to 1."""
     s, h, _ = qkv.q.shape
-    weights = np.empty((h, s, s))
-    for head, logits in enumerate(weights):
-        for lo, hi in _bands(s):
-            _logits(qkv.q[lo:hi, head], qkv.k[:, head], logits[lo:hi])
-        check_finite(np.array([logits.min(), logits.max()]), "attention logits")  # no (S, S) mask
-        _softmax_rows(logits)
-    return weights
+    return _attend(qkv.q, qkv.k, None, None, np.empty((h, s, s)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -285,8 +286,6 @@ def joint_attention(qkv: JointQKV) -> np.ndarray:
     Heads are re-merged into one output row per token, text rows first,
     image rows at img_range. attention_weights returns the (H, S, S) weights it sums with.
     """
-    s, h, dh = qkv.q.shape
-    out = np.empty((s, h * dh))
-    _attend(qkv.q, qkv.k, qkv.v, out.reshape(s, h, dh))
+    out = _attend(qkv.q, qkv.k, qkv.v, np.empty(qkv.q.shape)).reshape(len(qkv.q), -1)
     out.flags.writeable = False
     return check_finite(out, "attention output")

@@ -25,7 +25,7 @@ from . import __version__
 from .attention import _band_shape, _logits, attention_weights, joint_attention, project_qkv
 from .contours import contour_text, marching_squares
 from .errors import ConfigError, DegenerateInputError
-from .guidance import GuidanceConfig, apply_dcag, load_config
+from .guidance import GuidanceConfig, _decompose, _rescale, apply_dcag, load_config
 from .harness import _METRICS, ToyStack, seeded_batch, sweep, sweep_csv
 from .profiling import heatmap_pgm, pearson, profile_stack, ratios_csv
 from .tensors import _SOFTMAX_BLOCK_BYTES, _csv_lines, _softmax_rows
@@ -164,11 +164,11 @@ def _manifest(args, artifacts, summary, resolved) -> str:
 def _check_memory(args) -> None:
     """Refuse a run whose float64 buffers, stack and grid exceed physical memory.
 
-    profile and sweep hold one _band_shape weights buffer; attend's checks hold two
-    (S, S) logit buffers, then its artifacts H weights. Each holds 8·S·D: the batch,
-    state, (S, 3D) projection, RoPE tables, RoPE's two temporaries, and attend's
-    attention output, the ratio's deviations or the sweep's reference output (the
-    stack attends into its Q columns). sweep and attend guide, on 4·S_i·D more.
+    profile and sweep hold one _band_shape weights buffer; attend's checks hold two (S, S)
+    logit buffers, then its artifacts H weights; sweep's and attend's 4·S_i·D of guidance are
+    freed before those exist, so the larger counts. Each holds 8·S·D: the batch, state, (S, 3D)
+    projection, RoPE tables, RoPE's two temporaries, and attend's attention output, the ratio's
+    deviations or the sweep's reference output (the stack attends into its Q columns).
     The stack keeps 6·D² weights per layer and D per step (attend builds one of each)
     and draws one more (6, D, D) while building; a sweep adds n_dk + n_dv grid values
     and five floats per grid point. A fixed _SOFTMAX_BLOCK_BYTES // 8 (64 KiB) counts
@@ -178,10 +178,9 @@ def _check_memory(args) -> None:
     layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
     n_dk, n_dv = (getattr(args, flag, (0, 0, 0))[2] for flag in ("dk", "dv"))
     grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
-    attend = args.command == "attend"
-    held = max(args.heads, 2) * s * s if attend else math.prod(_band_shape(s))
+    held = max(args.heads, 2) * s * s if args.command == "attend" else math.prod(_band_shape(s))
     guide = 0 if args.command == "profile" else 4 * args.img_tokens * args.dim
-    need = (held + 8 * s * args.dim + guide
+    need = (max(held, guide) + 8 * s * args.dim
             + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim
             + n_dk + n_dv + 5 * n_dk * n_dv) * 8 + _SOFTMAX_BLOCK_BYTES // 8
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -246,9 +245,11 @@ def _cmd_sweep(args, stack, batch):
 
 
 def _check_identity(qkv) -> bool:
-    """Whether guidance at (1, 1) leaves K and V bit for bit; Q is passed through."""
-    guided = apply_dcag(qkv, GuidanceConfig.identity())
-    return guided.k.tobytes() == qkv.k.tobytes() and guided.v.tobytes() == qkv.v.tobytes()
+    """Whether guidance at (1, 1) leaves K and V bit for bit, and the rescale at 1 that _guide
+    skips gives their image rows back (np.array_equal: a -0.0 may come back as +0.0)."""
+    i_s, guided = qkv.img_range[0], apply_dcag(qkv, GuidanceConfig.identity())
+    return all(np.array_equal(_rescale(*_decompose(x[i_s:]), 1.0), x[i_s:])
+               and x.tobytes() == y.tobytes() for x, y in ((qkv.k, guided.k), (qkv.v, guided.v)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads as a failed law

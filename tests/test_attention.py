@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from dcag import (
     ToyStack,
     apply_dcag,
     attention_weights,
+    guided_attention,
     joint_attention,
     project_qkv,
     rope,
+    run_stack,
     seeded_batch,
 )
 from dcag import attention
 from dcag.attention import DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _band_shape, _project, _rope_table
-from dcag.tensors import _softmax_rows
+from dcag.tensors import _softmax_rows, check_finite
 from conftest import bits, child_env
 from oracles import naive_attention, naive_rope
 
@@ -318,13 +321,62 @@ class TestJointAttention:
             out[0, 0] = 1.0
 
     def test_overflowing_logits_are_rejected(self, rng):
-        # q·k overflows to inf: attention_weights refuses the logits by their min
-        # and max before its softmax, joint_attention the NaN output it gives
+        # q·k overflows to inf: both passes refuse the logits by their min and max
+        # before the softmax
         qkv = make_qkv(rng, 2, 6, 2, 4)
         huge = JointQKV(q=qkv.q * 1e200, k=qkv.k * 1e200, v=qkv.v, img_range=qkv.img_range)
         for attend in (attention_weights, joint_attention):
             with pytest.raises(ValueError, match="non-finite"):
                 attend(huge)
+
+
+def test_every_pass_refuses_overflowing_guided_logits():
+    # at 8 + 64 tokens and delta_k = 1.1e307 the guided K is finite, but some guided
+    # logits reach -inf; no pass may turn them into zero weights and a finite output
+    stack = ToyStack.seeded(42, layers=1, steps=1, dim=64, heads=4)
+    batch = seeded_batch(42, txt_tokens=8, img_tokens=64, dim=64)
+    cfg = GuidanceConfig(delta_k=1.1e307)
+    guided = apply_dcag(project_qkv(batch, stack.layers[0]), cfg)
+    for attend in (lambda: joint_attention(guided), lambda: attention_weights(guided),
+                   lambda: guided_attention(batch, stack.layers[0], cfg),
+                   lambda: run_stack(stack, batch, cfg)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^attention logits contains non-finite values$"):
+                attend()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_checked_finite_logits_keep_the_batched_bits(monkeypatch, rng, dense):
+    # d_h·max|q|·max|k| is past 1e300 (q near 1e160, k near 1e145), so every band's
+    # logits are checked, yet they are finite: one-hot rows, or, where the huge
+    # coordinates of q and k never meet, dense ones. Both passes keep the bits of the
+    # batched formula. With q scaled by 1e-200 the bound is far below 1e300: nothing is checked.
+    s, h, dh = 40, 2, 8
+    q, k, v = rng.standard_normal((3, s, h, dh))
+    q[:, :, 0] *= 1e160
+    k[:, :, 1 if dense else 0] *= 1e145
+    if dense:
+        q[:, :, 1] = k[:, :, 0] = 0.0
+    checked = []
+
+    def check(arr, name):
+        checked.append(name)
+        return check_finite(arr, name)
+
+    monkeypatch.setattr(attention, "check_finite", check)
+    for scale in (1.0, 1e-200):
+        qkv = JointQKV(q=q * scale, k=k, v=v, img_range=(8, s))
+        batched = np.matmul(qkv.q.transpose(1, 0, 2), qkv.k.transpose(1, 2, 0))
+        batched *= 1.0 / np.sqrt(dh)
+        weights = _softmax_rows(batched)
+        expected = (weights @ v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(s, h * dh)
+        checked.clear()
+        assert np.array_equal(bits(joint_attention(qkv)), bits(expected))
+        assert np.array_equal(bits(attention_weights(qkv)), bits(weights))
+        assert checked.count("attention logits") == (2 * h if scale == 1.0 else 0)
+        if scale == 1.0:
+            assert dense == (weights.max(axis=2).min() < 1.0)
 
 
 # Runs in a fresh interpreter so OPENBLAS_NUM_THREADS takes effect. q, k, v

@@ -328,6 +328,19 @@ class TestAttendCommand:
         assert "check logit_scaling: FAIL" in out
         assert "check value_affinity: PASS" in out  # V is untouched
 
+    def test_identity_probe_fails_on_an_uncompensated_rescale(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # _guide leaves a delta = 1 channel alone, so the probe rescales at 1 itself; with
+        # the compensation's error term gone, some image entries come back one rounding off
+        monkeypatch.setattr("dcag.guidance._sum_error", lambda a, b, s: np.zeros_like(s))
+        config = self.write_config(tmp_path, "delta_k = 1\ndelta_v = 1\n")
+        code = main(["attend", *FAST_ATTEND, "--config", config, "--check",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "check identity: FAIL" in out
+        assert "check logit_scaling: PASS" in out and "check value_affinity: PASS" in out
+
     def test_checks_complete_at_576_image_tokens(self, attend_576):
         # the logit-scaling probe once built an (H, S, S_i, S_i) tensor: 6 GB here
         _, code, out, peak = attend_576
@@ -345,8 +358,8 @@ class TestAttendCommand:
         ("delta_v = 1e300", ()), ("delta_k = 1.1e307", ("attention logits",))])
     def test_checks_at_extreme_scales(self, tmp_path, capsys, scale, failed):
         # the laws are evaluated so that they overflow only where the guided pass does;
-        # at delta_k = 1.1e307 some guided logits overflow to -inf while the output
-        # stays finite, and the pass itself is refused on its logits before any check
+        # at delta_k = 1.1e307 some guided logits overflow to -inf, and the pass itself
+        # is refused on its logits before any check
         config = self.write_config(tmp_path, scale + "\n")
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -363,8 +376,8 @@ class TestAttendCommand:
 
     def test_overflowing_guided_logits_are_one_line(self, tmp_path, capsys):
         # test_checks_at_extreme_scales runs this case with --check: at 8 + 64 tokens
-        # the guided logits reach -inf while their max is 4.2e307, and the softmax
-        # still gives finite weights and output
+        # the guided logits reach -inf while their max is 4.2e307, and the first
+        # attention pass, joint_attention's, refuses them
         config = self.write_config(tmp_path, "delta_k = 1.1e307\n")
         out = tmp_path / "out"
         code = main(["attend", "--config", config, "--out", str(out)])

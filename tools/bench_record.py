@@ -10,8 +10,13 @@ pairs, alternating which checkout runs first from one pair to the next.
 It writes, next to BENCHMARK.json, the min, quartiles, median, N and unit
 of each end-to-end metric per checkout, every run's value in pair order,
 the failed and attempted invocation counts, and the versions, BLAS name
-and thread count, nproc and commit from each run record. The file is
-rewritten after every run, so an interrupted recording keeps its pairs.
+and thread count, nproc and commit from each run record. With checkouts named
+`parent` and `change`, each workload also gets a `verdicts` entry per metric:
+the pairs the change won and lost (ties count for neither), the change in the
+median in %, the parent's q3 - q1 in % of its median, whether the change's
+median is within the metric's bound, and whether it is a resolved gain (won at
+least nine pairs in ten, by more than the parent's q3 - q1 in the median). The
+file is rewritten after every run, so an interrupted recording keeps its pairs.
 
     python3 tools/bench_record.py --label mylabel \\
         --checkout parent=../parent --checkout change=.
@@ -70,6 +75,19 @@ def summary(values: list[float], unit: str) -> dict:
             "median": median, "q3": q3, "runs": values}
 
 
+def verdict(parent: list[float], change: list[float], bound: float) -> dict:
+    """How a lower-is-better metric's change runs fare against the parent's, pair by pair."""
+    pairs = list(zip(parent, change))
+    base, median = summary(parent, ""), summary(change, "")["median"]
+    median_pct = 100.0 * (median / base["median"] - 1.0)
+    iqr_pct = 100.0 * (base["q3"] - base["q1"]) / base["median"]
+    won = sum(c < p for p, c in pairs)
+    return {"pairs": len(pairs), "pairs_won": won, "pairs_lost": sum(c > p for p, c in pairs),
+            "median_change_pct": median_pct, "parent_iqr_pct": iqr_pct,
+            "within_bound": median <= base["median"] * (1.0 + bound),
+            "gain": 10 * won >= 9 * len(pairs) and -median_pct > iqr_pct}
+
+
 def build(label: str, digests: dict, runs: dict, firsts: dict) -> dict:
     """The BENCH document so far: runs[workload][checkout] lists (run record, result)."""
     checkouts, workloads = {}, {}
@@ -96,6 +114,13 @@ def build(label: str, digests: dict, runs: dict, firsts: dict) -> dict:
                 "attempted": sum(result["attempted"] for _, result in made),
                 "failed": sum(result["failed"] for _, result in made),
             }
+        sides = workloads[workload]["checkouts"]
+        if {"parent", "change"} <= set(sides):
+            workloads[workload]["verdicts"] = {
+                metric["name"]: verdict(sides["parent"]["metrics"][metric["name"]]["runs"],
+                                        sides["change"]["metrics"][metric["name"]]["runs"],
+                                        metric["bound"])
+                for metric in BENCHMARK["end_to_end"]}
     return {
         "label": label,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
