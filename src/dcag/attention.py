@@ -230,22 +230,29 @@ def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-_BAND_BYTES = 4 * 1024 * 1024  # bound on one query-row band of the weights (one row if larger)
+_BAND_BYTES = 4 * 1024 * 1024  # the largest (S, S) kept whole, and the largest band
+_CACHE_BYTES = 1024 * 1024  # the band size aimed at above _BAND_BYTES
+_MIN_BAND_MACS = 2 ** 21  # the fewest multiply-adds of a band's weighted sum
 
 
-def _band_shape(s: int) -> tuple[int, int]:
+def _band_shape(s: int, d_h: int) -> tuple[int, int]:
     """The (R, S) weights buffer of _attend, which cli also counts without allocating it.
 
-    R is the largest of the fewest near-equal query-row bands of at most _BAND_BYTES
-    (one row if a row is larger), so R = S when one (S, S) fits.
+    R = S while one (S, S) fits in _BAND_BYTES. Above that the S rows split into the most
+    near-equal bands that two limits allow: bands of at most _CACHE_BYTES, and weighted sums
+    of at least _MIN_BAND_MACS multiply-adds; past 10^6 OpenBLAS rounds a band as the whole
+    product when S is a multiple of 8. There are never fewer bands than of at most _BAND_BYTES
+    (one row if a row is larger). R is the largest band's row count.
     """
     bands = -(-s // max(1, _BAND_BYTES // (8 * s)))
+    if bands > 1:
+        bands = max(bands, min(-(-8 * s * s // _CACHE_BYTES), s * s * d_h // _MIN_BAND_MACS))
     return -(-s // bands), s
 
 
-def _bands(s: int) -> list[tuple[int, int]]:
-    """The (lo, hi) query-row bands that _band_shape(s) describes: sizes within one row."""
-    count = -(-s // _band_shape(s)[0])
+def _bands(s: int, d_h: int) -> list[tuple[int, int]]:
+    """The (lo, hi) query-row bands that _band_shape(s, d_h) describes: sizes within one row."""
+    count = -(-s // _band_shape(s, d_h)[0])
     return [(i * s // count, (i + 1) * s // count) for i in range(count)]
 
 
@@ -258,10 +265,12 @@ def _attend(q, k, v, out, weights=None):
     read. Bands keep the unbanded bits where OpenBLAS rounds a band as the whole product. Once
     d_h·max|q|·max|k|, a bound on every logit, reaches 1e300, each band's logits are checked.
     """
-    band = np.empty(_band_shape(len(q))) if weights is None else None
-    bound = q.shape[2] * float(max(q.max(), -q.min())) * float(max(k.max(), -k.min()))
-    for head in range(q.shape[1]):
-        for lo, hi in _bands(len(q)):
+    s, h, d_h = q.shape
+    band = np.empty(_band_shape(s, d_h)) if weights is None else None
+    bands = _bands(s, d_h)
+    bound = d_h * float(max(q.max(), -q.min())) * float(max(k.max(), -k.min()))
+    for head in range(h):
+        for lo, hi in bands:
             logits = _logits(q[lo:hi, head], k[:, head],
                              band[:hi - lo] if weights is None else weights[head, lo:hi])
             if not bound < 1e300:

@@ -164,8 +164,9 @@ def _manifest(args, artifacts, summary, resolved) -> str:
 def _check_memory(args) -> None:
     """Refuse a run whose float64 buffers, stack and grid exceed physical memory.
 
-    profile and sweep hold one _band_shape weights buffer; attend's checks hold two (S, S)
-    logit buffers, then its artifacts H weights; sweep's and attend's 4·S_i·D of guidance are
+    profile and sweep hold one _band_shape weights buffer of d_h = D // H (0 when H > D,
+    which the stack refuses after this check); attend's checks hold two (S, S) logit
+    buffers, then its artifacts H weights; sweep's and attend's 4·S_i·D of guidance are
     freed before those exist, so the larger counts. Each holds 8·S·D: the batch, state, (S, 3D)
     projection, RoPE tables, RoPE's two temporaries, and attend's attention output, the ratio's
     deviations or the sweep's reference output (the stack attends into its Q columns).
@@ -178,7 +179,8 @@ def _check_memory(args) -> None:
     layers, steps = getattr(args, "layers", 1), getattr(args, "steps", 1)
     n_dk, n_dv = (getattr(args, flag, (0, 0, 0))[2] for flag in ("dk", "dv"))
     grid = f", grid {n_dk}x{n_dv}" if n_dk else ""
-    held = max(args.heads, 2) * s * s if args.command == "attend" else math.prod(_band_shape(s))
+    held = (max(args.heads, 2) * s * s if args.command == "attend"
+            else math.prod(_band_shape(s, args.dim // args.heads)))
     guide = 0 if args.command == "profile" else 4 * args.img_tokens * args.dim
     need = (max(held, guide) + 8 * s * args.dim
             + (layers + 1) * 6 * args.dim ** 2 + steps * args.dim

@@ -23,7 +23,8 @@ from dcag import (
     seeded_batch,
 )
 from dcag import attention
-from dcag.attention import DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _band_shape, _project, _rope_table
+from dcag.attention import (DEFAULT_ROPE_BASE, _BAND_BYTES, _attend, _band_shape, _bands, _project,
+                            _rope_table)
 from dcag.tensors import _softmax_rows, check_finite
 from conftest import bits, child_env
 from oracles import naive_attention, naive_rope
@@ -383,9 +384,9 @@ def test_checked_finite_logits_keep_the_batched_bits(monkeypatch, rng, dense):
 # are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. One
 # head at a time in _attend's bands must give the bits of one batched
 # (H, S, S) formula, and attention_weights the bits of its (H, S, S) weights,
-# at S = 1,032 in three bands too. From 725 tokens up _band_shape gives (R, S)
-# query-row bands: they must give the unbanded formula's bits at S = 1,032 and
-# 2,056, where OpenBLAS rounds a band as it rounds the full product, and at
+# at S = 1,032 in three to eight bands too. From 725 tokens up _band_shape gives
+# (R, S) query-row bands: they must give the unbanded formula's bits at S = 1,032
+# and 2,056, where OpenBLAS rounds a band as it rounds the full product, and at
 # S = 725, where it does not, agree with it to rtol 1e-12 (atol 1e-12 of its
 # largest entry) and with themselves bit for bit.
 PER_HEAD_VS_BATCHED = """
@@ -396,7 +397,7 @@ from dcag.tensors import _softmax_rows
 
 rng = np.random.default_rng(11)
 for s in (152, 408, 579, 1032):
-    for h in (4, 16):
+    for h in (4, 8, 16):
         block = rng.standard_normal((s, 3 * 64))
         q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
         scale = 1.0 / np.sqrt(q.shape[2])
@@ -412,7 +413,7 @@ for s in (152, 408, 579, 1032):
         assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
         del weights
 for s in (725, 1032, 2056):
-    for h in (4, 16):
+    for h in (4, 8, 16):
         block = rng.standard_normal((s, 3 * 64))
         q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
         unbanded = np.empty(q.shape)
@@ -420,7 +421,7 @@ for s in (725, 1032, 2056):
             w = q[:, i] @ k[:, i].T
             w *= 1.0 / np.sqrt(q.shape[2])
             unbanded[:, i] = _softmax_rows(w) @ v[:, i]
-        assert _band_shape(s)[0] < s, (s, h, _band_shape(s))
+        assert _band_shape(s, 64 // h)[0] < s, (s, h, _band_shape(s, 64 // h))
         banded = _attend(q, k, v, np.empty(q.shape))
         if s == 725:
             # entries near 0 cancel, so their relative error is not bounded: atol at the scale
@@ -441,15 +442,21 @@ def test_per_head_kernel_equals_batched_matmul_bitwise(threads):
 
 
 def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
-    # R = S exactly when one (S, S) fits in 4 MiB (S <= 724); above that R rows,
-    # R·S·8 <= 4 MiB (one row if a row is larger), in the fewest bands
-    for s in (1, 152, 257, 724, 725, 1032, 2056, 4104, 100_003, 600_000):
-        r, n = _band_shape(s)
-        assert n == s and (r == s) == (s * s * 8 <= _BAND_BYTES)
-        if r != s:
-            rows = max(1, _BAND_BYTES // (s * 8))
-            assert r <= rows and -(-s // r) == -(-s // rows)
-    assert _band_shape(1032) == (344, 1032)
+    # R = S exactly when one (S, S) fits in 4 MiB (S <= 724). Above that R is never
+    # more than the fewest near-equal bands of at most 4 MiB give (one row if a row is
+    # larger), and exactly that for d_h <= 4; the smallest band's weighted sum keeps
+    # more than 10^6 multiply-adds, past which OpenBLAS rounds a band as the whole
+    # product, wherever those 4 MiB bands' did
+    for s in (1, 152, 257, 724, 725, 1032, 2056, 4104, 100_003):
+        count = -(-s // max(1, _BAND_BYTES // (s * 8)))
+        rows, smallest = -(-s // count), s // count
+        for d_h in (2, 4, 8, 16, 32, 64):
+            r, n = _band_shape(s, d_h)
+            assert n == s and (r == s) == (s * s * 8 <= _BAND_BYTES)
+            assert r <= rows and (r == rows or d_h > 4), (s, d_h)
+            if smallest * s * d_h > 10**6:
+                assert min(hi - lo for lo, hi in _bands(s, d_h)) * s * d_h > 10**6, (s, d_h)
+    assert _band_shape(1032, 16) == (129, 1032)
     # the bands _attend runs differ by at most one row, the largest _band_shape's R
     seen = []
 
@@ -458,10 +465,10 @@ def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
         return _softmax_rows(w)
 
     monkeypatch.setattr(attention, "_softmax_rows", record)
-    for s, h in ((725, 1), (1032, 2), (2056, 1), (4104, 1)):
+    for s, h, d_h in ((725, 1, 2), (1032, 2, 2), (1032, 2, 16), (2056, 1, 16), (4104, 1, 16)):
         seen.clear()
-        r = _band_shape(s)[0]
-        q, k, v = rng.standard_normal((3, s, h, 2))
+        r = _band_shape(s, d_h)[0]
+        q, k, v = rng.standard_normal((3, s, h, d_h))
         _attend(q, k, v, np.empty(q.shape))
         sizes = [rows for rows, _ in seen]
         assert len(seen) == h * -(-s // r)

@@ -461,7 +461,8 @@ class TestErrors:
                                       ["sweep", "--dk", "nan:1:3"],
                                       ["sweep", "--contour", "ssim"],
                                       ["sweep", "--contour", "sharp=1"],
-                                      ["sweep", "--contour", "ssim=abc"]])
+                                      ["sweep", "--contour", "ssim=abc"],
+                                      ["profile", "--dim", "2", "--heads", "4"]])
     def test_usage_error_is_one_line(self, argv):
         result = run_cli(*argv)
         assert result.returncode == 2

@@ -460,24 +460,28 @@ class TestSweep:
 
 
 def test_stack_attention_memory_is_one_band():
-    # at 8 + 1,024 tokens (S, S) is 8.5 MB, so heads run one at a time in three
-    # 344-row bands of 2.8 MB, and a cell holds one band or guidance's four
+    # at 8 + 1,024 tokens (S, S) is 8.5 MB, so heads run one at a time in eight
+    # 129-row bands of 1.1 MB, and a cell holds one band or guidance's four
     # (S_i, D) temporaries, never both, plus O(S·D) blocks: the state, the (S, 3D)
     # projection, the RoPE tables and RoPE's two temporaries, six (S, D) in all,
-    # as attention writes over the projection's Q columns; the bound allows the
-    # band and those six. At 8 + 144 one (S, S) fits, and the heads share it,
-    # within twice one softmax row block.
+    # as attention writes over the projection's Q columns. The bound allows those
+    # six and the band, or on guided paths the larger of the band and guidance's
+    # temporaries, which there set the peak. At 8 + 144 one (S, S) fits, and the
+    # heads share it, within twice one softmax row block.
     heads, dim = 4, 64
-    for s_t, s_i, shape, bound in ((8, 1024, (344, 1032), (344 + 6 * dim) * 1032 * 8),
-                                   (8, 144, (152, 152), 2 * _SOFTMAX_BLOCK_BYTES)):
+    blocks, band, guide = 6 * dim * 1032 * 8, 129 * 1032 * 8, 4 * 1024 * dim * 8
+    for s_t, s_i, shape, unguided, guided in (
+            (8, 1024, (129, 1032), band + blocks, max(band, guide) + blocks),
+            (8, 144, (152, 152), 2 * _SOFTMAX_BLOCK_BYTES, 2 * _SOFTMAX_BLOCK_BYTES)):
         stack = ToyStack.seeded(0, layers=1, steps=1, dim=dim, heads=heads)
         batch = seeded_batch(0, txt_tokens=s_t, img_tokens=s_i, dim=dim)
         qkv = project_qkv(batch, stack.layers[0])
-        assert _band_shape(s_t + s_i) == shape
-        for attend in (lambda: run_stack(stack, batch, GuidanceConfig.identity()),
-                       lambda: run_stack(stack, batch, GuidanceConfig()),
-                       lambda: joint_attention(qkv),
-                       lambda: guided_attention(batch, stack.layers[0], GuidanceConfig())):
+        assert _band_shape(s_t + s_i, dim // heads) == shape
+        for attend, bound in (
+                (lambda: run_stack(stack, batch, GuidanceConfig.identity()), unguided),
+                (lambda: run_stack(stack, batch, GuidanceConfig()), guided),
+                (lambda: joint_attention(qkv), unguided),
+                (lambda: guided_attention(batch, stack.layers[0], GuidanceConfig()), guided)):
             tracemalloc.start()
             try:
                 attend()

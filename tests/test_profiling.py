@@ -178,7 +178,7 @@ def test_profile_memory_is_one_band_buffer_at_any_depth():
     # per-layer weight copies or RoPE tables, and a tap that copies nothing
     s, d = 8 + 1024, 64
     deep = profile_peak(8)
-    assert deep < (_band_shape(s)[0] + 6 * d) * s * 8
+    assert deep < (_band_shape(s, 16)[0] + 6 * d) * s * 8
     # the interpreter's own allocations move the peak by a few KiB from run to
     # run; one layer's (D, 3D) weights alone are 96 KiB, its RoPE table 129 KiB
     assert deep < profile_peak(1) + 16 * 1024
