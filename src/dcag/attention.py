@@ -231,22 +231,22 @@ def _logits(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 _BAND_BYTES = 4 * 1024 * 1024  # the largest (S, S) kept whole, and the largest band
-_CACHE_BYTES = 1024 * 1024  # the band size aimed at above _BAND_BYTES
 _MIN_BAND_MACS = 2 ** 21  # the fewest multiply-adds of a band's weighted sum
+_MIN_BAND_ROWS = 128  # the fewest rows of a band finer than _BAND_BYTES allows
 
 
 def _band_shape(s: int, d_h: int) -> tuple[int, int]:
     """The (R, S) weights buffer of _attend, which cli also counts without allocating it.
 
     R = S while one (S, S) fits in _BAND_BYTES. Above that the S rows split into the most
-    near-equal bands that two limits allow: bands of at most _CACHE_BYTES, and weighted sums
-    of at least _MIN_BAND_MACS multiply-adds; past 10^6 OpenBLAS rounds a band as the whole
-    product when S is a multiple of 8. There are never fewer bands than of at most _BAND_BYTES
-    (one row if a row is larger). R is the largest band's row count.
+    near-equal bands whose weighted sums keep _MIN_BAND_MACS multiply-adds (past 10^6 OpenBLAS
+    rounds a band as the whole product when S is a multiple of 8) and whose rows number at
+    least _MIN_BAND_ROWS (fewer cost time per band), but never fewer bands than of at most
+    _BAND_BYTES (one row if a row is larger). R is the largest band's row count.
     """
     bands = -(-s // max(1, _BAND_BYTES // (8 * s)))
     if bands > 1:
-        bands = max(bands, min(-(-8 * s * s // _CACHE_BYTES), s * s * d_h // _MIN_BAND_MACS))
+        bands = max(bands, min(s * s * d_h // _MIN_BAND_MACS, s // _MIN_BAND_ROWS))
     return -(-s // bands), s
 
 

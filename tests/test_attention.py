@@ -446,7 +446,7 @@ def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
     # more than the fewest near-equal bands of at most 4 MiB give (one row if a row is
     # larger), and exactly that for d_h <= 4; the smallest band's weighted sum keeps
     # more than 10^6 multiply-adds, past which OpenBLAS rounds a band as the whole
-    # product, wherever those 4 MiB bands' did
+    # product, wherever those 4 MiB bands' did, and no band is cut below 128 rows
     for s in (1, 152, 257, 724, 725, 1032, 2056, 4104, 100_003):
         count = -(-s // max(1, _BAND_BYTES // (s * 8)))
         rows, smallest = -(-s // count), s // count
@@ -454,9 +454,13 @@ def test_band_shape_is_one_square_or_near_equal_bands(monkeypatch, rng):
             r, n = _band_shape(s, d_h)
             assert n == s and (r == s) == (s * s * 8 <= _BAND_BYTES)
             assert r <= rows and (r == rows or d_h > 4), (s, d_h)
+            sizes = [hi - lo for lo, hi in _bands(s, d_h)]
+            assert min(sizes) >= min(smallest, 128), (s, d_h)
             if smallest * s * d_h > 10**6:
-                assert min(hi - lo for lo, hi in _bands(s, d_h)) * s * d_h > 10**6, (s, d_h)
-    assert _band_shape(1032, 16) == (129, 1032)
+                assert min(sizes) * s * d_h > 10**6, (s, d_h)
+    assert _band_shape(1032, 16) == (129, 1032) and _band_shape(2056, 16) == (129, 2056)
+    # above 4,096 tokens a 4 MiB band has under 128 rows, so the 4 MiB rule's rows stay
+    assert _band_shape(4104, 16) == (125, 4104) and _band_shape(600_000, 16) == (1, 600_000)
     # the bands _attend runs differ by at most one row, the largest _band_shape's R
     seen = []
 
