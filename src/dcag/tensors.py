@@ -92,10 +92,10 @@ _SOFTMAX_BLOCK_BYTES = 512 * 1024
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a C-contiguous x, computed in place; returns x.
+    """Softmax over the last axis of x, computed in place on views of x; returns x.
 
-    The passes run over blocks of whole rows, so their temporaries are
-    block-sized; every operation is row-local, so the blocking changes no bit.
+    The passes run over first-axis blocks (of rows, for a 2-D x), so their temporaries
+    are block-sized; every operation is row-local, so the blocking changes no bit.
     exp underflows to exactly +0.0 below -746 and is slow there, so a block
     with such dead entries exps and divides only its live ones and clamps the
     dead ones to +0.0, the value exp and 0/sum give. A block with no dead
@@ -103,12 +103,9 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     every mask bit is set), and a block of one-hot rows, whose sums are all
     exactly 1, skips the divide: x / 1.0 is x.
     """
-    if not x.flags.c_contiguous:  # reshape would copy, and the result would be lost
-        raise ValueError("_softmax_rows works in place on a C-contiguous array")
-    rows = x.reshape(-1, x.shape[-1])
-    step = max(1, _SOFTMAX_BLOCK_BYTES // (rows.shape[1] * rows.itemsize))
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
+    step = max(1, _SOFTMAX_BLOCK_BYTES // (x.shape[-1] * x.itemsize))
+    for start in range(0, x.shape[0], step):
+        block = x[start:start + step]
         block -= block.max(axis=-1, keepdims=True)
         live = block >= -746.0
         dense = live.all()

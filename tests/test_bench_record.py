@@ -62,6 +62,19 @@ def test_each_workload_records_a_verdict_per_end_to_end_metric():
     assert "verdicts" not in lone["workloads"]["w"]
 
 
+def test_a_checkout_with_compiled_bytecode_under_src_is_refused(tmp_path, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    cache = tmp_path / "src" / "dcag" / "__pycache__"
+    cache.mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--label", "refused", "--checkout", f"change={tmp_path}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert ": error: " in err[-1] and str(cache) in err[-1]
+    assert not (ROOT / "BENCH_refused.json").exists()
+
+
 BENCHES = {path.name: json.loads(path.read_text(encoding="utf-8"))
            for path in sorted(ROOT.glob("BENCH_*.json"))}
 RECORDED = {name: bench for name, bench in BENCHES.items()

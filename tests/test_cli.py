@@ -292,8 +292,8 @@ class TestAttendCommand:
             v[i_s + 3, 0, 0] += 1e-7
             assert laws(v=v) == {"logit_scaling": True, "value_affinity": False}
 
-    def test_identity_and_value_affinity_probes_fail_on_a_nonlinear_value(
-            self, tmp_path, capsys, monkeypatch):
+    def test_value_affinity_probe_fails_on_a_nonlinear_value(self, tmp_path, capsys,
+                                                              monkeypatch):
         def perturbed(qkv, cfg):
             guided = apply_dcag(qkv, cfg)
             v = np.array(guided.v)
@@ -306,12 +306,12 @@ class TestAttendCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "check identity: FAIL" in out
+        assert "check identity: PASS" in out  # the probe rescales the unguided K and V
         assert "check value_affinity: FAIL" in out
         assert "check logit_scaling: PASS" in out  # K is untouched
 
-    def test_identity_and_logit_scaling_probes_fail_on_a_nonlinear_key(
-            self, tmp_path, capsys, monkeypatch):
+    def test_logit_scaling_probe_fails_on_a_nonlinear_key(self, tmp_path, capsys,
+                                                          monkeypatch):
         def perturbed(qkv, cfg):
             guided = apply_dcag(qkv, cfg)
             k = np.array(guided.k)
@@ -324,9 +324,26 @@ class TestAttendCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "check identity: FAIL" in out
+        assert "check identity: PASS" in out  # the probe rescales the unguided K and V
         assert "check logit_scaling: FAIL" in out
         assert "check value_affinity: PASS" in out  # V is untouched
+
+    def test_checks_run_one_guided_pass(self, tmp_path, capsys, monkeypatch):
+        # _guide skips a channel at delta = 1, so guiding again at (1, 1) would only copy
+        # K and V: the identity probe rescales the unguided blocks itself
+        calls = []
+
+        def counted(qkv, cfg):
+            calls.append(cfg)
+            return apply_dcag(qkv, cfg)
+
+        monkeypatch.setattr("dcag.cli.apply_dcag", counted)
+        config = self.write_config(tmp_path, "delta_k = 1.1\ndelta_v = 1.15\n")
+        code = main(["attend", *FAST_ATTEND, "--config", config, "--check",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == [GuidanceConfig(delta_k=1.1, delta_v=1.15)]
+        assert "check identity: PASS" in capsys.readouterr().out
 
     def test_identity_probe_fails_on_an_uncompensated_rescale(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -422,35 +439,44 @@ def test_manifest_records_every_flag_but_out(tmp_path, command, flags):
     assert {"--" + key.replace("_", "-") for key in manifest["parameters"]} == flags
 
 
-def run_cli(*argv):
-    return subprocess.run([sys.executable, "-m", "dcag.cli", *argv],
-                          capture_output=True, text=True, env=child_env())
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of main(argv) in this process, with warnings as errors;
+    a usage error ends in argparse's SystemExit, whose code is the exit code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestErrors:
-    def test_overflowing_key_scale_in_sweep_is_one_line(self, tmp_path):
-        result = run_cli("sweep", *FAST_SWEEP, "--dk", "1e308:1e308:1", "--dv", "1:1:1",
-                         "--out", str(tmp_path))
-        assert result.returncode == 2
-        err = result.stderr.splitlines()
+    def test_overflowing_key_scale_in_sweep_is_one_line(self, tmp_path, capsys):
+        code, _, err = run_main(capsys, "sweep", *FAST_SWEEP, "--dk", "1e308:1e308:1",
+                                "--dv", "1:1:1", "--out", str(tmp_path))
+        assert code == 2
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
 
-    def test_overflowing_range_span_is_one_line(self, tmp_path):
+    def test_overflowing_range_span_is_one_line(self, tmp_path, capsys):
         # linspace would overflow computing 1e308 - (-1e308) and print numpy warnings
         out = tmp_path / "out"
-        result = run_cli("sweep", *FAST_SWEEP, "--dk", "1e308:-1e308:3", "--out", str(out))
-        assert result.returncode == 2
-        err = result.stderr.splitlines()
+        code, stdout, err = run_main(capsys, "sweep", *FAST_SWEEP, "--dk", "1e308:-1e308:3",
+                                     "--out", str(out))
+        assert code == 2
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
-        assert result.stdout == "" and not out.exists()
+        assert stdout == "" and not out.exists()
 
-    def test_overflowing_key_scale_in_attend_is_one_line(self, tmp_path):
+    def test_overflowing_key_scale_in_attend_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "guidance.cfg"
         config.write_text("delta_k = 1e308\n")
-        result = run_cli("attend", *FAST_ATTEND, "--config", str(config),
-                         "--out", str(tmp_path / "out"))
-        assert result.returncode == 2
-        err = result.stderr.splitlines()
+        code, _, err = run_main(capsys, "attend", *FAST_ATTEND, "--config", str(config),
+                                "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
 
     @pytest.mark.parametrize("argv", [["sweep", "--dk", "1:2"],
@@ -463,21 +489,23 @@ class TestErrors:
                                       ["sweep", "--contour", "sharp=1"],
                                       ["sweep", "--contour", "ssim=abc"],
                                       ["profile", "--dim", "2", "--heads", "4"]])
-    def test_usage_error_is_one_line(self, argv):
-        result = run_cli(*argv)
-        assert result.returncode == 2
-        err = result.stderr.splitlines()
+    def test_usage_error_is_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default --out, should a run get that far
+        code, stdout, err = run_main(capsys, *argv)
+        assert code == 2
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert result.stdout == ""
+        assert stdout == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["profile", "sweep", "attend"])
-    def test_negative_seed_is_one_line(self, tmp_path, command):
+    def test_negative_seed_is_one_line(self, tmp_path, capsys, command):
         out = tmp_path / "out"
-        result = run_cli(*fast_argv(command, tmp_path), "--seed", "-1", "--out", str(out))
-        assert result.returncode == 2
-        err = result.stderr.splitlines()
+        code, stdout, err = run_main(capsys, *fast_argv(command, tmp_path), "--seed", "-1",
+                                     "--out", str(out))
+        assert code == 2
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
-        assert result.stdout == "" and not out.exists()
+        assert stdout == "" and not out.exists()
 
     def test_odd_head_dimension_is_one_line(self, tmp_path, capsys):
         code = main(["profile", "--dim", "12", "--heads", "4", "--out", str(tmp_path)])
@@ -571,10 +599,12 @@ class TestErrors:
         assert peak < 1024 * 1024
 
     @pytest.mark.parametrize("flag, start", [("--help", "usage: dcag"), ("--version", "dcag ")])
-    def test_help_and_version_still_print_and_exit_0(self, flag, start):
-        result = run_cli(flag)
-        assert result.returncode == 0
-        assert result.stdout.startswith(start) and result.stderr == ""
+    def test_help_and_version_still_print_and_exit_0(self, flag, start, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(start) and captured.err == ""
 
     @pytest.mark.parametrize("where", ["existing file", "below a file"])
     def test_unusable_out_path_is_exit_2(self, tmp_path, capsys, where):

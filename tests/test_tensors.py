@@ -13,6 +13,7 @@ from dcag import (BiasDelta, ShapeError, contour_text, decompose, matmul, ratios
 from dcag.cli import _fmt, _write_artifacts
 from dcag.harness import _METRICS
 from dcag.tensors import _SOFTMAX_BLOCK_BYTES, _softmax_rows
+from conftest import bits
 from oracles import naive_matmul
 
 
@@ -171,14 +172,6 @@ class TestSoftmaxRows:
         assert np.array_equal(out, expected)
         assert not np.signbit(out).any()
 
-    def test_kernel_rejects_a_non_contiguous_array(self, rng):
-        # the kernel works in place on a row view; a copy would drop the result
-        x = rng.standard_normal((4, 6))
-        before = x.copy()
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _softmax_rows(x.T)
-        assert np.array_equal(x, before)
-
     def test_non_negative(self, rng):
         assert np.all(softmax_rows(rng.standard_normal((5, 5))) >= 0.0)
 
@@ -223,6 +216,97 @@ def test_non_real_array_argument_is_a_one_line_value_error(entry, bad):
         call(NOT_REAL[bad])
     message = str(exc.value)
     assert message.startswith(f"{name} must hold real numbers") and "\n" not in message
+
+
+# A wrong rank or disagreeing shapes at each public boundary: (call, error, its one line).
+ONE_LINE_ERRORS = {
+    "StreamBatch rank": (lambda: dcag.StreamBatch(txt=np.ones(4), img=OK), ShapeError,
+                         "streams must be 2D token blocks, got txt (4,), img (4, 4)"),
+    "LayerWeights heads": (lambda: dcag.LayerWeights(np.ones((4, 12)), np.ones((4, 12)), heads=0),
+                           ValueError, "heads must be positive, got 0"),
+    "JointQKV rank": (lambda: dcag.JointQKV(q=OK, k=OK, v=OK, img_range=(1, 4)), ShapeError,
+                      "q/k/v must be (S, H, d_h), got (4, 4)"),
+    "JointQKV shapes": (lambda: dcag.JointQKV(q=np.ones((4, 1, 2)), k=np.ones((4, 1, 2)),
+                                              v=np.ones((3, 1, 2)), img_range=(1, 4)),
+                        ShapeError, "q, k, v shapes disagree: (4, 1, 2), (4, 1, 2), (3, 1, 2)"),
+    "rope rank": (lambda: dcag.rope(OK, np.arange(4)), ShapeError,
+                  "rope expects an (S, H, d_h) block, got shape (4, 4)"),
+    "decompose rank": (lambda: decompose(OK), ShapeError,
+                       "decompose expects an (S_i, H, d_h) block, got shape (4, 4)"),
+    "token_grid rank": (lambda: dcag.token_grid(np.ones(4)), ShapeError,
+                        "token_grid expects an (S_i, D) block, got shape (4,)"),
+    "mse rank": (lambda: dcag.mse(np.ones(4), np.ones(4)), ShapeError,
+                 "images must be 2D, got shapes (4,) and (4,)"),
+    "ratios_csv shapes": (lambda: ratios_csv(np.ones((2, 3)), np.ones((3, 2))), ShapeError,
+                          "profiles disagree in shape: (2, 3) vs (3, 2)"),
+    "heatmap_pgm empty": (lambda: dcag.heatmap_pgm(np.zeros((0, 3))), ValueError,
+                          "cannot render an empty profile"),
+    "softmax_rows rank": (lambda: softmax_rows(np.ones(4)), ShapeError,
+                          "softmax_rows expects a matrix, got shape (4,)"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_LINE_ERRORS)
+def test_bad_shape_is_its_one_line_error(case):
+    call, error, message = ONE_LINE_ERRORS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
+
+
+# Public array functions on their first argument, which each gets in the layouts below;
+# the other arguments are fixed. as_tensor's C order is what makes the bits independent of
+# the layout: reductions and einsum sum in memory order.
+_LAYOUT_RNG = np.random.default_rng(5)
+_IMAGE, _TOKENS = _LAYOUT_RNG.random((2, 12, 13)), _LAYOUT_RNG.standard_normal((16, 40))
+_BLOCK, _RATIOS = _LAYOUT_RNG.standard_normal((40, 3, 8)), _LAYOUT_RNG.random((2, 5, 4))
+_LOGITS, _SURFACE = _LAYOUT_RNG.standard_normal((7, 9)) * 30.0, _LAYOUT_RNG.random((6, 5))
+LAYOUT_CASES = {
+    "mse": (_IMAGE[0], lambda x: dcag.mse(x, _IMAGE[1])),
+    "psnr": (_IMAGE[0], lambda x: dcag.psnr(x, _IMAGE[1])),
+    "ssim": (_IMAGE[0], lambda x: dcag.ssim(x, _IMAGE[1])),
+    "token_grid": (_TOKENS, dcag.token_grid),
+    "render_tokens": (_TOKENS, lambda x: dcag.render_tokens(x, -1.0, 1.0)),
+    "pearson": (_RATIOS[0], lambda x: dcag.pearson(x, _RATIOS[1])),
+    "decompose": (_BLOCK, lambda x: dataclasses.astuple(decompose(x))),
+    "rope": (_BLOCK, lambda x: dcag.rope(x, np.arange(40))),
+    "softmax_rows": (_LOGITS, softmax_rows),
+    "matmul": (_LOGITS, lambda x: matmul(x, _LOGITS.T)),
+    "ratio": (_BLOCK, dcag.ratio),
+    "ratios_csv": (_RATIOS[0], lambda x: ratios_csv(x, _RATIOS[1])),
+    "heatmap_pgm": (_RATIOS[0], dcag.heatmap_pgm),
+    "marching_squares": (_SURFACE, lambda x: dcag.marching_squares(np.arange(6), np.arange(5),
+                                                                   x, 0.5)),
+}
+
+
+def _every_step_2(x):
+    """x's values in a view that takes every other element along each axis."""
+    spread = np.zeros(tuple(2 * n for n in x.shape))
+    spread[(slice(None, None, 2),) * x.ndim] = x
+    return spread[(slice(None, None, 2),) * x.ndim]
+
+
+LAYOUTS = {"Fortran": np.asfortranarray, "reversed strides": lambda x: np.flip(np.flip(x).copy()),
+           "step 2": _every_step_2}
+
+
+def _result_bits(result):
+    """A result with every float as its 64-bit pattern, so -0.0 and +0.0 differ."""
+    if isinstance(result, (list, tuple)):
+        return [_result_bits(item) for item in result]
+    if isinstance(result, str):
+        return result
+    return np.shape(result), bits(result).tobytes()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("entry", LAYOUT_CASES)
+def test_bits_do_not_depend_on_the_argument_layout(entry, layout):
+    x, call = LAYOUT_CASES[entry]
+    laid_out = LAYOUTS[layout](x)
+    assert np.array_equal(laid_out, x) and not laid_out.flags.c_contiguous
+    assert _result_bits(call(laid_out)) == _result_bits(call(np.ascontiguousarray(x)))
 
 
 class TestRescaleFields:

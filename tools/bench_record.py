@@ -22,7 +22,9 @@ file is rewritten after every run, so an interrupted recording keeps its pairs.
         --checkout parent=../parent --checkout change=.
 
 A checkout without .git records a null commit; `src_sha256`, a digest of
-every file under its src/, names the measured code either way.
+every file under its src/, names the measured code either way. A checkout
+holding a __pycache__ directory under src/ is refused with exit 2, since a
+.pyc left there would shorten that side's import time (setup_s) alone.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def src_digest(root: Path) -> str:
     """SHA-256 over the relative path and bytes of every file under root/src."""
     digest = hashlib.sha256()
     for path in sorted((root / "src").rglob("*")):
-        if path.is_file() and "__pycache__" not in path.parts:
+        if path.is_file():  # main refuses a src/ holding __pycache__ before this runs
             digest.update(str(path.relative_to(root)).encode() + b"\0")
             digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -131,17 +133,21 @@ def build(label: str, digests: dict, runs: dict, firsts: dict) -> dict:
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--checkout", action="append", required=True, metavar="NAME=DIR",
                         type=_checkout, help="a checkout to measure")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.label}.json"
     roots = dict(args.checkout)
     for root in roots.values():
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"{root} holds no perfbench/run.py")
+        # with PYTHONDONTWRITEBYTECODE=1 set, a .pyc left on one side speeds its imports alone
+        cache = next((root / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            parser.error(f"{cache} holds compiled bytecode; delete it before recording")
     digests = {name: src_digest(root) for name, root in roots.items()}
     names = list(roots)
 
