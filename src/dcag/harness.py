@@ -23,6 +23,7 @@ from .tensors import _csv_lines, as_index, as_tensor, check_finite
 
 __all__ = [
     "ToyStack",
+    "StackHook",
     "seeded_batch",
     "run_stack",
     "token_grid",
@@ -123,17 +124,33 @@ def seeded_batch(seed: int, *, txt_tokens: int, img_tokens: int, dim: int) -> St
     )
 
 
+class StackHook:
+    """Observes each (layer, step) cell of run_stack; a point does nothing unless overridden.
+
+    Each point gets read-only views of the loop's buffers, rows in joint order
+    (image rows from batch.txt.shape[0] on). They change once the point returns,
+    so a hook copies what it keeps.
+    """
+
+    def projected(self, layer: int, step: int, q, k, v) -> None:
+        """Pre-guidance Q, K and V, each (S, H, d_h)."""
+
+    def guided(self, layer: int, step: int, k, v) -> None:
+        """K and V after guidance, each (S, H, d_h)."""
+
+    def attended(self, layer: int, step: int, out) -> None:
+        """The (S, D) attention output, before the residual add."""
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=None) -> np.ndarray:
+def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *,
+              hook: StackHook = StackHook()) -> np.ndarray:
     """Iterate the denoising loop and return the final image block (S_i, D).
 
     Each of stack.step_count steps adds the step embedding to the image
     tokens, then runs every layer with residual connections, guiding K and V
     in place (GuidanceConfig.identity() guides, and allocates, nothing).
-    When given, tap(layer, step, q, k, v) observes each layer's
-    pre-guidance Q, K and V: read-only (S, H, d_h) views of the projection
-    buffer, whose image rows start at batch.txt.shape[0]. The views change
-    once the tap returns, so a tap copies what it keeps.
+    hook's three points observe each cell (see StackHook).
     Arguments are validated once on entry and the result once on return;
     in between, the kernels reuse one projection buffer and attend into its Q columns.
     """
@@ -146,16 +163,18 @@ def run_stack(stack: ToyStack, batch: StreamBatch, cfg: GuidanceConfig, *, tap=N
     state = np.concatenate([batch.txt, batch.img])  # [txt; img], updated in place
     txt, img = state[:s_t], state[s_t:]
     proj = np.empty((s, 3 * stack.dim))
-    seen = proj.reshape(s, 3, heads, -1).transpose(1, 0, 2, 3)  # what the tap reads
+    seen = proj.reshape(s, 3, heads, -1).transpose(1, 0, 2, 3)  # what the hook reads
     seen.flags.writeable = False
+    out = seen[0].reshape(s, stack.dim)  # the Q columns _attend writes into
     for t, embedding in enumerate(stack.embeddings):
         img += embedding
         for layer, w in enumerate(stack.layers):
             q, k, v = _project(txt, img, w.txt_wqkv, w.img_wqkv, heads, cos, sin, proj)
-            if tap is not None:
-                tap(layer, t, *seen)
+            hook.projected(layer, t, *seen)
             _guide(k, v, s_t, cfg)
+            hook.guided(layer, t, *seen[1:])
             _attend(q, k, v, q)  # each band's Q rows are dead once its logits exist
+            hook.attended(layer, t, out)
             state += proj[:, :stack.dim]
     return check_finite(img, "stack output")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .guidance import GuidanceConfig, _bias_delta
-from .harness import ToyStack, run_stack
+from .harness import StackHook, ToyStack, run_stack
 from .tensors import _csv_lines, as_real, as_tensor
 
 __all__ = [
@@ -30,7 +30,7 @@ def ratio(block) -> float:
 
     Token vectors are flattened across heads, a whole-token reading of the
     norms. bias and delta are those guidance rescales. The block may be a
-    strided view, such as a run_stack tap's; it is read, not copied.
+    strided view, such as a StackHook point's; it is read, not copied.
     """
     block = as_real(block, "block")
     if block.ndim != 3:
@@ -53,11 +53,12 @@ def profile_stack(stack: ToyStack, batch) -> tuple[np.ndarray, np.ndarray]:
 
     s_t = batch.txt.shape[0]
 
-    def tap(layer, step, q, k, v):
-        ratios_k[layer, step] = ratio(k[s_t:])
-        ratios_v[layer, step] = ratio(v[s_t:])
+    class Ratios(StackHook):
+        def projected(self, layer, step, q, k, v):
+            ratios_k[layer, step] = ratio(k[s_t:])
+            ratios_v[layer, step] = ratio(v[s_t:])
 
-    run_stack(stack, batch, GuidanceConfig.identity(), tap=tap)
+    run_stack(stack, batch, GuidanceConfig.identity(), hook=Ratios())
     return ratios_k, ratios_v
 
 

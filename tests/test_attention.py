@@ -383,12 +383,13 @@ def test_checked_finite_logits_keep_the_batched_bits(monkeypatch, rng, dense):
 # Runs in a fresh interpreter so OPENBLAS_NUM_THREADS takes effect. q, k, v
 # are strided (S, H, d_h) views into one (S, 3D) block, as in run_stack. One
 # head at a time in _attend's bands must give the bits of one batched
-# (H, S, S) formula, and attention_weights the bits of its (H, S, S) weights,
-# at S = 1,032 in three to eight bands too. From 725 tokens up _band_shape gives
-# (R, S) query-row bands: they must give the unbanded formula's bits at S = 1,032
-# and 2,056, where OpenBLAS rounds a band as it rounds the full product, and at
-# S = 725, where it does not, agree with it to rtol 1e-12 (atol 1e-12 of its
-# largest entry) and with themselves bit for bit.
+# (H, S, S) formula, and attention_weights the bits of its (H, S, S) weights:
+# in one band up to S = 724, the largest one (S, S) of 4 MiB, and in three bands
+# at S = 1,032 and 16 heads. From 725 tokens up _band_shape gives (R, S)
+# query-row bands: they must give the unbanded formula's bits at S = 1,032 (8
+# and 3 bands) and 2,056 (16 bands), where OpenBLAS rounds a band as it rounds
+# the full product, and at S = 725, where it does not, agree with it to rtol
+# 1e-12 (atol 1e-12 of its largest entry) and with themselves bit for bit.
 PER_HEAD_VS_BATCHED = """
 import hashlib
 import numpy as np
@@ -396,40 +397,38 @@ from dcag.attention import JointQKV, _attend, _band_shape, attention_weights
 from dcag.tensors import _softmax_rows
 
 rng = np.random.default_rng(11)
-for s in (152, 408, 579, 1032):
-    for h in (4, 8, 16):
-        block = rng.standard_normal((s, 3 * 64))
-        q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
-        scale = 1.0 / np.sqrt(q.shape[2])
-        qh, kt, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
-        batched = np.matmul(qh, kt)
-        batched *= scale
-        expected = (_softmax_rows(batched) @ vh).transpose(1, 0, 2)
-        expected_weights = hashlib.sha256(batched).hexdigest()
-        del batched  # keep one (H, S, S) tensor alive at a time
-        out = _attend(q, k, v, np.empty(q.shape))
-        assert np.array_equal(out, expected), (s, h)
-        weights = attention_weights(JointQKV(q=q, k=k, v=v, img_range=(0, s)))
-        assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
-        del weights
-for s in (725, 1032, 2056):
-    for h in (4, 8, 16):
-        block = rng.standard_normal((s, 3 * 64))
-        q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
-        unbanded = np.empty(q.shape)
-        for i in range(h):  # one (S, S) at a time: (16, 2056, 2056) would be 541 MB
-            w = q[:, i] @ k[:, i].T
-            w *= 1.0 / np.sqrt(q.shape[2])
-            unbanded[:, i] = _softmax_rows(w) @ v[:, i]
-        assert _band_shape(s, 64 // h)[0] < s, (s, h, _band_shape(s, 64 // h))
-        banded = _attend(q, k, v, np.empty(q.shape))
-        if s == 725:
-            # entries near 0 cancel, so their relative error is not bounded: atol at the scale
-            np.testing.assert_allclose(banded, unbanded, rtol=1e-12,
-                                       atol=1e-12 * np.abs(unbanded).max())
-            assert np.array_equal(banded, _attend(q, k, v, np.empty(q.shape)))
-        else:
-            assert np.array_equal(banded, unbanded), (s, h)
+for s, h in ((152, 4), (152, 8), (152, 16), (724, 4), (1032, 16)):
+    block = rng.standard_normal((s, 3 * 64))
+    q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
+    scale = 1.0 / np.sqrt(q.shape[2])
+    qh, kt, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
+    batched = np.matmul(qh, kt)
+    batched *= scale
+    expected = (_softmax_rows(batched) @ vh).transpose(1, 0, 2)
+    expected_weights = hashlib.sha256(batched).hexdigest()
+    del batched  # keep one (H, S, S) tensor alive at a time
+    out = _attend(q, k, v, np.empty(q.shape))
+    assert np.array_equal(out, expected), (s, h)
+    weights = attention_weights(JointQKV(q=q, k=k, v=v, img_range=(0, s)))
+    assert hashlib.sha256(weights).hexdigest() == expected_weights, (s, h)
+    del weights
+for s, h in ((725, 4), (725, 16), (1032, 4), (1032, 16), (2056, 4)):
+    block = rng.standard_normal((s, 3 * 64))
+    q, k, v = block.reshape(s, 3, h, -1).transpose(1, 0, 2, 3)
+    unbanded = np.empty(q.shape)
+    for i in range(h):  # one (S, S) at a time: (4, 2056, 2056) would be 135 MB
+        w = q[:, i] @ k[:, i].T
+        w *= 1.0 / np.sqrt(q.shape[2])
+        unbanded[:, i] = _softmax_rows(w) @ v[:, i]
+    assert _band_shape(s, 64 // h)[0] < s, (s, h, _band_shape(s, 64 // h))
+    banded = _attend(q, k, v, np.empty(q.shape))
+    if s == 725:
+        # entries near 0 cancel, so their relative error is not bounded: atol at the scale
+        np.testing.assert_allclose(banded, unbanded, rtol=1e-12,
+                                   atol=1e-12 * np.abs(unbanded).max())
+        assert np.array_equal(banded, _attend(q, k, v, np.empty(q.shape)))
+    else:
+        assert np.array_equal(banded, unbanded), (s, h)
 """
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dcag import (
     GuidanceConfig,
     JointQKV,
     LayerWeights,
+    StackHook,
     StreamBatch,
     ToyStack,
     apply_dcag,
@@ -120,6 +122,22 @@ class TestRescale:
         # the block of test_hand_case_delta_two: bias (0.5, 0.5), deltas +-(0.5, -0.5)
         out = rescale(decompose(np.array([[[1.0, 0.0]], [[0.0, 1.0]]])), scale)
         assert np.array_equal(bits(out), bits(np.array(expected)))
+
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 20.0]),
+           scale=st.floats(0.0, 4.0))
+    def test_within_one_and_a_half_ulps_of_the_exact_recombination(self, seed, spread, scale):
+        # Gaussian blocks, alone or scaled by e^U(-spread, spread) per element, against
+        # b + scale * (x - b) in rationals from the bias bits decompose returns: the
+        # product is rounded once (1/2 ulp) and the sum, up to twice as large, once more
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((16, 2, 4)) * np.exp(rng.uniform(-spread, spread, (16, 2, 4)))
+        bd = decompose(block)
+        out = rescale(bd, scale)
+        for x, b, got in zip(block.ravel(), np.broadcast_to(bd.bias, block.shape).ravel(),
+                             out.ravel()):
+            exact = Fraction(b) + Fraction(scale) * (Fraction(x) - Fraction(b))
+            ulp = Fraction(np.spacing(max(abs(b), abs(float(exact - Fraction(b))))))
+            assert abs(Fraction(got) - exact) <= Fraction(3, 2) * ulp, (x, b, scale)
 
     def test_rejects_bad_scales(self, rng):
         bd = decompose(rng.standard_normal((4, 1, 2)))
@@ -256,10 +274,16 @@ class TestApplyDcag:
         stack = ToyStack.seeded(7, layers=1, steps=1, dim=16, heads=2)
         batch = seeded_batch(7, txt_tokens=s_t, img_tokens=9, dim=16)
         seen = []
-        run_stack(stack, batch, cfg, tap=lambda layer, step, *qkv: seen.extend(
-            [[x.copy() for x in qkv], qkv]))
-        # the one cell's views show its guided K and V once the run is over
-        (q, k, v), (_, k_run, v_run) = seen
+
+        class Hook(StackHook):
+            def projected(self, layer, step, *qkv):
+                seen.append([x.copy() for x in qkv])
+
+            def guided(self, layer, step, *kv):
+                seen.append([x.copy() for x in kv])
+
+        run_stack(stack, batch, cfg, hook=Hook())
+        (q, k, v), (k_run, v_run) = seen  # the one cell, before and after guidance
         out = apply_dcag(JointQKV(q=q, k=k, v=v, img_range=(s_t, s_t + 9)), cfg)
         for before, after in ((k, out.k), (v, out.v), (k, k_run), (v, v_run)):
             assert np.array_equal(bits(after[:s_t]), bits(before[:s_t]))

@@ -11,6 +11,7 @@ from dcag import (
     JointQKV,
     PSNR_CAP_DB,
     ShapeError,
+    StackHook,
     StreamBatch,
     ToyStack,
     apply_dcag,
@@ -37,6 +38,22 @@ DIM = 16
 HEADS = 2
 TXT = 4
 IMG = 121  # 11x11 rendering, the smallest ssim can accept
+
+
+class Recorder(StackHook):
+    """Copies of what each point reads, one entry per (layer, step) cell in loop order."""
+
+    def __init__(self):
+        self.qkv, self.kv, self.out = [], [], []
+
+    def projected(self, layer, step, *qkv):
+        self.qkv.append([x.copy() for x in qkv])
+
+    def guided(self, layer, step, *kv):
+        self.kv.append([x.copy() for x in kv])
+
+    def attended(self, layer, step, out):
+        self.out.append(out.copy())
 
 
 @pytest.fixture(scope="module")
@@ -236,13 +253,14 @@ class TestRunStack:
         seen = []
         guided_seen = []
 
-        def tap(layer, step, q, k, v):
-            seen.append((step, layer))
-            guided_seen.append(k[TXT:].copy())
+        class Hook(StackHook):
+            def projected(self, layer, step, q, k, v):
+                seen.append((step, layer))
+                guided_seen.append(k[TXT:].copy())
 
-        run_stack(stack, batch, cfg, tap=tap)
+        run_stack(stack, batch, cfg, hook=Hook())
         assert seen[:3] == [(0, 0), (0, 1), (1, 0)]
-        # first tap equals the projection of the raw input, untouched by guidance
+        # first projected point equals the projection of the raw input, untouched by guidance
         first = project_qkv(
             StreamBatch(txt=batch.txt, img=batch.img + stack.embeddings[0]),
             stack.layers[0],
@@ -250,29 +268,39 @@ class TestRunStack:
         assert np.array_equal(guided_seen[0], first.k[TXT:TXT + IMG])
 
     def test_tap_views_are_read_only(self, stack, batch):
-        # the tap reads the projection buffer the loop guides in place, not a copy
+        # every hook point reads the buffer the loop guides and attends into in place, not a copy
         cfg = GuidanceConfig(delta_k=2.0, delta_v=2.0)
         shapes = []
 
-        def tap(layer, step, q, k, v):
-            for block in (q, k, v):
+        def check(*blocks):
+            for block in blocks:
                 assert not block.flags.writeable
                 assert not block.flags.owndata
                 shapes.append(block.shape)
                 with pytest.raises(ValueError, match="read-only"):
-                    block[TXT, 0, 0] = 0.0
+                    block[(TXT,) + (0,) * (block.ndim - 1)] = 0.0
 
-        out = run_stack(stack, batch, cfg, tap=tap)
-        assert shapes == [(TXT + IMG, HEADS, DIM // HEADS)] * (3 * 2 * 2)
+        class Hook(StackHook):
+            def projected(self, layer, step, *qkv):
+                check(*qkv)
+
+            def guided(self, layer, step, *kv):
+                check(*kv)
+
+            def attended(self, layer, step, out):
+                check(out)
+
+        out = run_stack(stack, batch, cfg, hook=Hook())
+        cell = [(TXT + IMG, HEADS, DIM // HEADS)] * 5 + [(TXT + IMG, DIM)]
+        assert shapes == cell * (2 * 2)
         assert np.array_equal(out, run_stack(stack, batch, cfg))
 
     def test_every_tap_matches_public_stage_composition(self, stack, batch):
-        # the stack loop must hand each tap exactly what project_qkv returns
-        # for the running state, and must guide and attend like the public stages
+        # the stack loop must hand each point exactly what the public stages give for
+        # the running state: project_qkv, then apply_dcag, then joint_attention
         cfg = GuidanceConfig(delta_k=1.3, delta_v=0.7)
-        seen = []
-        out = run_stack(stack, batch, cfg,
-                        tap=lambda layer, step, *qkv: seen.append([x.copy() for x in qkv]))
+        hook = Recorder()
+        out = run_stack(stack, batch, cfg, hook=hook)
 
         txt = np.array(batch.txt)
         img = np.array(batch.img)
@@ -281,17 +309,32 @@ class TestRunStack:
             img = img + stack.embeddings[t]
             for weights in stack.layers:
                 qkv = project_qkv(StreamBatch(txt=txt, img=img), weights)
-                expected.append(qkv)
-                step_out = joint_attention(apply_dcag(qkv, cfg))
+                guided = apply_dcag(qkv, cfg)
+                step_out = joint_attention(guided)
+                expected.append((qkv, guided, step_out))
                 txt, img = txt + step_out[:TXT], img + step_out[TXT:]
 
-        assert len(seen) == len(expected) == stack.step_count * len(stack.layers)
-        for got, want in zip(seen, expected):
-            assert want.img_range == (TXT, TXT + IMG)  # the image rows the tap is told of
-            for block, name in zip(got, ("q", "k", "v")):
-                assert block.shape == getattr(want, name).shape
-                assert np.array_equal(block, getattr(want, name))
+        cells = stack.step_count * len(stack.layers)
+        assert len(hook.qkv) == len(hook.kv) == len(hook.out) == len(expected) == cells
+        for projected, guided, attended, (qkv, want, want_out) in zip(
+                hook.qkv, hook.kv, hook.out, expected):
+            assert qkv.img_range == (TXT, TXT + IMG)  # the image rows the points are told of
+            for got, name in zip(projected, ("q", "k", "v")):
+                assert got.shape == getattr(qkv, name).shape
+                assert np.array_equal(bits(got), bits(getattr(qkv, name)))
+            assert np.array_equal(bits(guided[0]), bits(want.k))
+            assert np.array_equal(bits(guided[1]), bits(want.v))
+            assert np.array_equal(bits(attended), bits(want_out))
         assert np.array_equal(out, img)
+
+    def test_identity_guided_point_equals_projected_bitwise(self, stack, batch):
+        # the (1, 1) promise, cell by cell: identity guidance leaves every K and V bit alone
+        hook = Recorder()
+        run_stack(stack, batch, GuidanceConfig.identity(), hook=hook)
+        assert len(hook.qkv) == len(hook.kv) == stack.step_count * len(stack.layers)
+        for (_, k, v), (k_guided, v_guided) in zip(hook.qkv, hook.kv):
+            assert np.array_equal(bits(k_guided), bits(k))
+            assert np.array_equal(bits(v_guided), bits(v))
 
     def test_dim_mismatch(self, stack):
         with pytest.raises(ShapeError, match="hidden dimension"):
@@ -491,42 +534,40 @@ def test_stack_attention_memory_is_one_band():
             assert peak < bound
 
 
-def closed_form_drift(monkeypatch, cfg):
+def closed_form_drift(cfg):
     """Worst error of any run_stack cell's attention output against the paper's closed forms
     from that cell's pre-guidance q, k, v, relative to max(1, the output's largest entry).
 
-    The real loop runs: its tap copies each cell's q, k, v, and a wrapper on its _attend
-    reads the output. 8 layers x 3 steps at 8 + 16 tokens cover the unsaturated first
+    The real loop runs: its hook copies each cell's projected q, k, v and reads its
+    attended output. 8 layers x 3 steps at 8 + 16 tokens cover the unsaturated first
     step and the saturated ones after it, at a cost that keeps tier-1 fast."""
     stack = ToyStack.seeded(42, layers=8, steps=3, dim=64, heads=4)
     batch = seeded_batch(42, txt_tokens=8, img_tokens=16, dim=64)
-    attend, cell, drift = dcag.harness._attend, [], []
+    cell, drift = [], []
 
-    def checked(q, k, v, out):
-        attend(q, k, v, out)
-        expected = closed_form_attention(*cell, 8, cfg.delta_k, cfg.delta_v)[0]
-        got = np.array(out).reshape(expected.shape)
-        drift.append(np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(got))))
-        return out
+    class Hook(StackHook):
+        def projected(self, layer, step, q, k, v):
+            cell[:] = [np.array(x) for x in (q, k, v)]
 
-    def tap(layer, step, q, k, v):
-        cell[:] = [np.array(x) for x in (q, k, v)]
+        def attended(self, layer, step, out):
+            expected = closed_form_attention(*cell, 8, cfg.delta_k, cfg.delta_v)[0]
+            got = np.array(out).reshape(expected.shape)
+            drift.append(np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(got))))
 
-    monkeypatch.setattr(dcag.harness, "_attend", checked)
-    run_stack(stack, batch, cfg, tap=tap)
+    run_stack(stack, batch, cfg, hook=Hook())
     assert len(drift) == 8 * 3
     return max(drift)
 
 
 @pytest.mark.parametrize("dk_dv", [(1.1, 1.15), (1.5, 0.5), (1.0, 2.0), (2.0, 1.0)])
-def test_every_stack_cell_obeys_the_closed_forms(monkeypatch, dk_dv):
+def test_every_stack_cell_obeys_the_closed_forms(dk_dv):
     # the paper's K and V laws hold in every (layer, step) cell of the loop that
     # computes sweep and profile, to _check_closed_forms's tolerance
-    assert closed_form_drift(monkeypatch, GuidanceConfig(*dk_dv)) <= 1e-10
+    assert closed_form_drift(GuidanceConfig(*dk_dv)) <= 1e-10
 
 
 def test_closed_form_drift_catches_guidance_of_the_text_rows(monkeypatch):
     # a guide that also rescales the text rows' K and V breaks both laws: drift 1.5
     guide = dcag.harness._guide
     monkeypatch.setattr(dcag.harness, "_guide", lambda k, v, i_s, cfg: guide(k, v, 0, cfg))
-    assert closed_form_drift(monkeypatch, GuidanceConfig()) > 0.1
+    assert closed_form_drift(GuidanceConfig()) > 0.1

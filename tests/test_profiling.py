@@ -10,6 +10,7 @@ from dcag import (
     GuidanceConfig,
     LayerWeights,
     ShapeError,
+    StackHook,
     StreamBatch,
     ToyStack,
     heatmap_pgm,
@@ -147,15 +148,16 @@ class TestProfileStack:
         expected_k = np.zeros((3, 2))
         expected_v = np.zeros((3, 2))
 
-        def recompute(layer, step, q, k, v):
-            s_t = batch.txt.shape[0]
-            for target, block in ((expected_k, k[s_t:]), (expected_v, v[s_t:])):
-                mean = block.mean(axis=0, keepdims=True)
-                deltas = block - mean
-                per_token = np.linalg.norm(deltas.reshape(deltas.shape[0], -1), axis=1)
-                target[layer, step] = per_token.mean() / np.linalg.norm(mean)
+        class Recompute(StackHook):
+            def projected(self, layer, step, q, k, v):
+                s_t = batch.txt.shape[0]
+                for target, block in ((expected_k, k[s_t:]), (expected_v, v[s_t:])):
+                    mean = block.mean(axis=0, keepdims=True)
+                    deltas = block - mean
+                    per_token = np.linalg.norm(deltas.reshape(deltas.shape[0], -1), axis=1)
+                    target[layer, step] = per_token.mean() / np.linalg.norm(mean)
 
-        run_stack(stack, batch, GuidanceConfig.identity(), tap=recompute)
+        run_stack(stack, batch, GuidanceConfig.identity(), hook=Recompute())
         assert np.max(np.abs(pk - expected_k)) <= 1e-12
         assert np.max(np.abs(pv - expected_v)) <= 1e-12
 
@@ -175,7 +177,7 @@ def profile_peak(layers: int) -> int:
 def test_profile_memory_is_one_band_buffer_at_any_depth():
     # one query-row band of weights plus the stack cell's six (S, D) blocks (see
     # test_stack_attention_memory_is_one_band), whatever the layer count: no
-    # per-layer weight copies or RoPE tables, and a tap that copies nothing
+    # per-layer weight copies or RoPE tables, and a hook that copies nothing
     s, d = 8 + 1024, 64
     deep = profile_peak(8)
     assert deep < (_band_shape(s, 16)[0] + 6 * d) * s * 8
